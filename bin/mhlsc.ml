@@ -540,7 +540,7 @@ let batch_cmd =
     | Some path ->
         let records = D.trace_records b in
         Mhls_driver.Trace.write_file ~tool:D.tool_version path records;
-        Printf.printf "\ntrace: %d records -> %s\n%s" (List.length records)
+        Printf.printf "\ntrace: %d records -> %s\n%s\n" (List.length records)
           path
           (Mhls_driver.Trace.summary_table records)
     | None -> ());

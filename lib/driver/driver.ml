@@ -2,7 +2,9 @@
     directive config), executes them on a {!Pool} of OCaml 5 domains,
     and memoizes results in a persistent content-addressed {!Cache}
     keyed by (input IR, pipeline description, directives, tool
-    version) — a re-run of a sweep is near-instant.  Each job carries a
+    version) — a re-run of a sweep is near-instant.  Jobs of one batch
+    that differ only in scheduler or clock form a front-end group and
+    share one front-end run.  Each job carries a
     {!Support.Tracing} hook, so the batch yields a full per-pass JSON
     trace ({!Trace}) alongside the QoR table.
 
@@ -125,86 +127,6 @@ let trace_records (b : batch_report) : Trace.record list =
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Compile one job from scratch, capturing per-pass trace events.
-    Never raises: every failure mode becomes [Error diags] —
-    HLS000 for front-end compile errors, HLS902 for middle-end
-    rejection, HLS903 for an unknown kernel name. *)
-let compute ~(pipeline : Adaptor.Pipeline.t) (j : job) : payload =
-  match K.by_name j.kernel with
-  | None ->
-      {
-        p_qor =
-          Error
-            [
-              Diag.error ~rule:"HLS903" ~func:j.label "unknown kernel '%s'"
-                j.kernel;
-            ];
-        p_trace = [];
-        p_seconds = 0.0;
-        p_adaptor = None;
-      }
-  | Some k ->
-      let hook, events = Support.Tracing.collector () in
-      let qor, seconds, adaptor =
-        match
-          Flow.run ~directives:j.directives ~pipeline ~clock_ns:j.clock_ns
-            ~sched:j.sched ~trace:hook k j.flow
-        with
-        | Ok r ->
-            ( Ok r.Flow.hls,
-              r.Flow.seconds,
-              Option.map Adaptor.report_to_string r.Flow.adaptor_report )
-        | Error ds -> (Error ds, 0.0, None)
-        | exception Support.Err.Compile_error e ->
-            (Error [ Diag.of_err ~rule:"HLS000" e ], 0.0, None)
-        | exception E.Rejected errs ->
-            ( Error
-                (Diag.error ~rule:"HLS902" ~func:j.label
-                   "rejected by HLS middle-end (%d issues)"
-                   (List.length errs)
-                :: List.map
-                     (fun msg ->
-                       Diag.error ~rule:"HLS902" ~func:j.label "%s" msg)
-                     errs),
-              0.0,
-              None )
-      in
-      let records =
-        List.map
-          (Trace.of_event ~job:j.label ~kernel:j.kernel
-             ~flow:(Flow.flow_name j.flow) ~cached:false)
-          (events ())
-      in
-      { p_qor = qor; p_trace = records; p_seconds = seconds; p_adaptor = adaptor }
-
-(** The job's content address: hashes the {e printed input IR} (the
-    kernel built under its directives), so any change to the kernel
-    builder lands on a fresh entry, plus every knob that affects the
-    result downstream of that IR. *)
-let cache_key ~(pipeline : Adaptor.Pipeline.t) (j : job) : string option =
-  match K.by_name j.kernel with
-  | None -> None
-  | Some k ->
-      let input_ir =
-        Mhir.Printer.module_to_string (k.K.build j.directives)
-      in
-      Some
-        (Cache.key
-           [
-             tool_version;
-             input_ir;
-             Adaptor.Pipeline.describe pipeline;
-             directives_describe j.directives;
-             Flow.flow_name j.flow;
-             (* backend name, not the [sched] constructor: the key must
-                survive variant renames and third-party backends *)
-             (let (module B) =
-                Hls_backend.Backend.of_sched j.sched
-              in
-              B.name);
-             Printf.sprintf "%.3f" j.clock_ns;
-           ])
-
 let payload_to_string (p : payload) : string = Marshal.to_string p []
 
 let payload_of_string (s : string) : payload option =
@@ -212,44 +134,201 @@ let payload_of_string (s : string) : payload option =
   | p -> Some p
   | exception _ -> None
 
-(** Run one job, consulting [cache] first. *)
-let run_job ~pipeline ~(cache : Cache.t option) (j : job) : outcome =
-  let fresh () =
-    let p = compute ~pipeline j in
-    ( p,
-      {
-        o_job = j;
-        o_qor = p.p_qor;
-        o_seconds = p.p_seconds;
-        o_from_cache = false;
-        o_adaptor = p.p_adaptor;
-        o_trace = p.p_trace;
-      } )
-  in
-  match cache with
-  | None -> snd (fresh ())
-  | Some cache -> (
-      match cache_key ~pipeline j with
-      | None -> snd (fresh ())
-      | Some key -> (
-          match Option.bind (Cache.find cache key) payload_of_string with
+(** Printed input IR of a job's kernel under its directives: what the
+    content address hashes, so any change to the kernel builder lands
+    on a fresh entry. *)
+let input_ir (k : K.kernel) (d : K.directives) : string =
+  Mhir.Printer.module_to_string (k.K.build d)
+
+(** Content address of [j] given its printed input IR: that IR plus
+    every knob that affects the result downstream of it. *)
+let key_of ~(pipeline : Adaptor.Pipeline.t) ~(input_ir : string) (j : job) :
+    string =
+  Cache.key
+    [
+      tool_version;
+      input_ir;
+      Adaptor.Pipeline.describe pipeline;
+      directives_describe j.directives;
+      Flow.flow_name j.flow;
+      (* backend name, not the [sched] constructor: the key must
+         survive variant renames and third-party backends *)
+      (let (module B) = Hls_backend.Backend.of_sched j.sched in
+       B.name);
+      Printf.sprintf "%.3f" j.clock_ns;
+    ]
+
+let cache_key ~(pipeline : Adaptor.Pipeline.t) (j : job) : string option =
+  Option.map
+    (fun k -> key_of ~pipeline ~input_ir:(input_ir k j.directives) j)
+    (K.by_name j.kernel)
+
+let outcome_of (j : job) ~(from_cache : bool) (p : payload) : outcome =
+  {
+    o_job = j;
+    o_qor = p.p_qor;
+    o_seconds = p.p_seconds;
+    o_from_cache = from_cache;
+    o_adaptor = p.p_adaptor;
+    o_trace = p.p_trace;
+  }
+
+(** Front-end identity within one batch (whose pipeline is fixed): jobs
+    that differ only in scheduler or clock share one LLVM module. *)
+let frontend_identity (j : job) =
+  (j.kernel, directives_describe j.directives, j.flow)
+
+(** Compile one front-end group — jobs of one {!frontend_identity} —
+    consulting [cache] first.  The input IR is built and printed once
+    for every member's key; the front-end runs at most once, and only
+    if some member missed; each miss is then estimated under its own
+    scheduler and clock and stored.  A member that reuses the
+    front-end run of an earlier member carries that run's records with
+    [tr_cached = true]; its own [hls] record stays [false].  Never
+    raises: every failure mode becomes [Error diags] — HLS000 for
+    compile errors (every member), the strict adaptor's diagnostics
+    (every member), HLS902 for middle-end rejection (the member whose
+    estimate it was), HLS903 for an unknown kernel name. *)
+let run_group ~(pipeline : Adaptor.Pipeline.t) ~(cache : Cache.t option)
+    (js : job list) : outcome list =
+  match K.by_name (List.hd js).kernel with
+  | None ->
+      List.map
+        (fun j ->
+          outcome_of j ~from_cache:false
+            {
+              p_qor =
+                Error
+                  [
+                    Diag.error ~rule:"HLS903" ~func:j.label
+                      "unknown kernel '%s'" j.kernel;
+                  ];
+              p_trace = [];
+              p_seconds = 0.0;
+              p_adaptor = None;
+            })
+        js
+  | Some k ->
+      let keys =
+        match cache with
+        | None -> List.map (fun _ -> None) js
+        | Some _ ->
+            let input_ir = input_ir k (List.hd js).directives in
+            List.map (fun j -> Some (key_of ~pipeline ~input_ir j)) js
+      in
+      let hits =
+        List.map
+          (fun key ->
+            Option.bind cache (fun c ->
+                Option.bind key (fun key ->
+                    Option.bind (Cache.find c key) payload_of_string)))
+          keys
+      in
+      (* the front-end runs lazily, on the group's first miss *)
+      let frontend =
+        lazy
+          (let hook, events = Support.Tracing.collector () in
+           let j = List.hd js in
+           let fe =
+             match
+               Flow.frontend ~directives:j.directives ~pipeline ~trace:hook k
+                 j.flow
+             with
+             | Ok fe ->
+                 Ok
+                   ( fe,
+                     Option.map Adaptor.report_to_string
+                       fe.Flow.fe_adaptor_report )
+             | Error ds -> Error ds
+             | exception Support.Err.Compile_error e ->
+                 Error [ Diag.of_err ~rule:"HLS000" e ]
+           in
+           (fe, events ()))
+      in
+      let records j ~cached events =
+        List.map
+          (Trace.of_event ~job:j.label ~kernel:j.kernel
+             ~flow:(Flow.flow_name j.flow) ~cached)
+          events
+      in
+      let compute ~shared j =
+        let fe, fe_events = Lazy.force frontend in
+        let fe_records = records j ~cached:shared fe_events in
+        match fe with
+        | Error ds ->
+            { p_qor = Error ds; p_trace = fe_records; p_seconds = 0.0;
+              p_adaptor = None }
+        | Ok (fe, adaptor) ->
+            let hook, events = Support.Tracing.collector () in
+            let qor, seconds, adaptor =
+              match
+                Flow.estimate ~clock_ns:j.clock_ns ~sched:j.sched ~trace:hook
+                  fe
+              with
+              | r -> (Ok r.Flow.hls, fe.Flow.fe_seconds, adaptor)
+              | exception Support.Err.Compile_error e ->
+                  (Error [ Diag.of_err ~rule:"HLS000" e ], 0.0, None)
+              | exception E.Rejected errs ->
+                  ( Error
+                      (Diag.error ~rule:"HLS902" ~func:j.label
+                         "rejected by HLS middle-end (%d issues)"
+                         (List.length errs)
+                      :: List.map
+                           (fun msg ->
+                             Diag.error ~rule:"HLS902" ~func:j.label "%s" msg)
+                           errs),
+                    0.0,
+                    None )
+            in
+            {
+              p_qor = qor;
+              p_trace = fe_records @ records j ~cached:false (events ());
+              p_seconds = seconds;
+              p_adaptor = adaptor;
+            }
+      in
+      List.map2
+        (fun (j, key) hit ->
+          match hit with
           | Some p ->
-              {
-                o_job = j;
-                o_qor = p.p_qor;
-                o_seconds = p.p_seconds;
-                o_from_cache = true;
-                o_adaptor = p.p_adaptor;
-                o_trace =
-                  List.map
-                    (fun (r : Trace.record) ->
-                      { r with Trace.tr_cached = true })
-                    p.p_trace;
-              }
+              outcome_of j ~from_cache:true
+                {
+                  p with
+                  p_trace =
+                    List.map
+                      (fun (r : Trace.record) ->
+                        { r with Trace.tr_cached = true })
+                      p.p_trace;
+                }
           | None ->
-              let p, o = fresh () in
-              Cache.store cache key (payload_to_string p);
-              o))
+              let p = compute ~shared:(Lazy.is_val frontend) j in
+              Option.iter
+                (fun c ->
+                  Option.iter
+                    (fun key -> Cache.store c key (payload_to_string p))
+                    key)
+                cache;
+              outcome_of j ~from_cache:false p)
+        (List.combine js keys) hits
+
+(** Run one job: the one-member front-end group. *)
+let run_job ~pipeline ~(cache : Cache.t option) (j : job) : outcome =
+  List.hd (run_group ~pipeline ~cache [ j ])
+
+(** Partition a batch into front-end groups, in order of first
+    appearance; each member keeps its position in the batch. *)
+let group_jobs (js : job list) : (int * job) list list =
+  let groups = Hashtbl.create 64 and order = ref [] in
+  List.iteri
+    (fun i j ->
+      let id = frontend_identity j in
+      match Hashtbl.find_opt groups id with
+      | Some members -> Hashtbl.replace groups id ((i, j) :: members)
+      | None ->
+          Hashtbl.replace groups id [ (i, j) ];
+          order := id :: !order)
+    js;
+  List.rev_map (fun id -> List.rev (Hashtbl.find groups id)) !order
 
 (* ------------------------------------------------------------------ *)
 (* Sessions: a live pool + cache accepting incremental submissions    *)
@@ -280,8 +359,9 @@ let create_session ?(pipeline = Adaptor.Pipeline.default) ?cache_dir
     s_closed = false;
   }
 
-(** Submit one more batch into the live session.  Outcomes come back in
-    job-list order, deterministic for any worker count.  Cache hits
+(** Submit one more batch into the live session: one pool task per
+    front-end group ({!group_jobs}, {!run_group}).  Outcomes come back
+    in job-list order, deterministic for any worker count.  Cache hits
     accumulate across submissions: a job resubmitted in a later round
     (same content address) is served from cache.
 
@@ -305,7 +385,15 @@ let submit ?pipeline (s : session) (js : job list) :
   else begin
     let pipeline = Option.value pipeline ~default:s.s_pipeline in
     ignore (Atomic.fetch_and_add s.s_submitted (List.length js));
-    Ok (Pool.run s.s_pool (run_job ~pipeline ~cache:s.s_cache) js)
+    let groups = group_jobs js in
+    let outs = Array.make (List.length js) None in
+    List.iter2
+      (fun g os -> List.iter2 (fun (i, _) o -> outs.(i) <- Some o) g os)
+      groups
+      (Pool.run s.s_pool
+         (fun g -> run_group ~pipeline ~cache:s.s_cache (List.map snd g))
+         groups);
+    Ok (Array.to_list (Array.map Option.get outs))
   end
 
 (** [background s task] hands [task] to one of the session's worker

@@ -8,6 +8,11 @@
     search submits one batch per round; revisited configs hit the
     cache, and domains are spawned once).
 
+    The unit of work is a front-end group: the jobs of one batch that
+    share kernel, directives and flow, and so differ only in scheduler
+    or clock.  A group runs its front-end once and estimates the one
+    LLVM module under each member's backend.
+
     Failures are {!Support.Diag.t} lists (HLS000 compile error, HLS902
     middle-end rejection, HLS903 unknown kernel), never ad-hoc
     strings.  QoR rendering is deterministic: independent of wall
@@ -62,7 +67,10 @@ type outcome = {
   o_seconds : float;
   o_from_cache : bool;
   o_adaptor : string option;  (** rendered adaptor report, if the flow had one *)
-  o_trace : Trace.record list;  (** [tr_cached] reflects [o_from_cache] *)
+  o_trace : Trace.record list;
+      (** all [tr_cached] when [o_from_cache]; otherwise the front-end
+          records are [tr_cached] when a sibling in the job's group ran
+          that front-end, and the [hls] record is not *)
 }
 
 type batch_report = {
@@ -79,8 +87,9 @@ val trace_records : batch_report -> Trace.record list
     the printed input IR plus every knob that affects the result. *)
 val cache_key : pipeline:Adaptor.Pipeline.t -> job -> string option
 
-(** Run one job, consulting [cache] first.  Never raises: every
-    failure mode becomes [Error diags]. *)
+(** Run one job as a one-member front-end group (see {!submit}),
+    consulting [cache] first.  Never raises: every failure mode
+    becomes [Error diags]. *)
 val run_job : pipeline:Adaptor.Pipeline.t -> cache:Cache.t option -> job -> outcome
 
 (* ------------------------------------------------------------------ *)
@@ -102,9 +111,19 @@ val create_session :
   unit ->
   session
 
-(** Submit one more batch into the live session.  Outcomes in job-list
-    order, deterministic for any worker count; cache hits accumulate
-    across submissions.  [?pipeline] overrides the session pipeline
+(** Submit one more batch into the live session.  The batch is
+    partitioned into front-end groups — jobs with the same kernel,
+    {!directives_describe} and flow — and each group is one pool task:
+    it looks every member up in the cache, builds and prints the input
+    IR once for all members' keys, runs the front-end at most once
+    (only if some member missed), then estimates and stores each miss
+    under its own scheduler and clock.  A member reusing a sibling's
+    front-end run carries those records with [tr_cached = true].
+    Nothing is kept between submissions beyond the cache.  A front-end
+    compile error or strict-adaptor block fails every member of its
+    group; a backend rejection (HLS902) fails only its own member.
+    Outcomes in job-list order, deterministic for any worker count;
+    cache hits accumulate across submissions.  [?pipeline] overrides the session pipeline
     for this batch only (cache keys include it, so the shared cache
     stays sound).  Submitting after {!close_session} is an [Error]
     carrying an HLS904 diagnostic — never an exception. *)

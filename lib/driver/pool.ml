@@ -9,7 +9,8 @@
       incremental driver session: workers are spawned once, block on a
       condition variable between batches, and successive {!run} calls
       reuse them.  A search loop that submits a small batch per round
-      does not pay a domain-spawn per round.
+      does not pay a domain-spawn per round, and a shut-down pool's
+      domains park for the next pool to reuse.
 
     Both paths preserve input order in the result and run inline on the
     calling domain when [jobs <= 1] — the sequential reference used by
@@ -85,10 +86,12 @@ type t = {
   queue : task Queue.t;
   mutable pending : int;  (** batch tasks queued or running *)
   mutable stopping : bool;
-  mutable domains : unit Domain.t list;
+  mutable attached : int;  (** workers assigned and not yet gone *)
+  workers_gone : Condition.t;
+  mutable failure : exn option;  (** first exception a submitted task raised *)
 }
 
-let worker (p : t) () =
+let worker (p : t) =
   let rec loop () =
     Mutex.lock p.mutex;
     while Queue.is_empty p.queue && not p.stopping do
@@ -99,7 +102,12 @@ let worker (p : t) () =
     else begin
       let task = Queue.pop p.queue in
       Mutex.unlock p.mutex;
-      task.t_run ();
+      (match task.t_run () with
+      | () -> ()
+      | exception e ->
+          Mutex.lock p.mutex;
+          if p.failure = None then p.failure <- Some e;
+          Mutex.unlock p.mutex);
       if task.t_batch then begin
         Mutex.lock p.mutex;
         p.pending <- p.pending - 1;
@@ -109,18 +117,63 @@ let worker (p : t) () =
       loop ()
     end
   in
-  loop ()
+  loop ();
+  Mutex.lock p.mutex;
+  p.attached <- p.attached - 1;
+  if p.attached = 0 then Condition.broadcast p.workers_gone;
+  Mutex.unlock p.mutex
 
-(** [create ~jobs] spawns a pool of [min jobs (recommended - 1)]
-    worker domains (at least 0: with [jobs <= 1] no domain is spawned
-    and {!run} executes inline).  By default the pool never
-    oversubscribes the hardware — OCaml 5 minor collections are
-    stop-the-world across domains, so excess domains make
-    allocation-heavy workloads {e slower}.  [~oversubscribe:true]
-    lifts that clamp (still bounded by [max 16 recommended]): the
-    serve reactor wants concurrency-for-latency — a short compile
-    overtaking a long DSE sweep — which the OS scheduler provides by
-    timeslicing domains even on a single core. *)
+(* Worker domains outlive their pool: a domain leaving a pool parks
+   here while the process has at most [max_live] worker domains, and
+   the next {!create} reuses it instead of spawning.  With a domain
+   spawned and retired per pool, a process that opens a session per
+   batch grew its heap with every session it closed while its live
+   data stayed constant; with the domains kept, it does not grow. *)
+let max_live = max 1 (Domain.recommended_domain_count ())
+
+let park_mutex = Mutex.create ()
+let park_cond = Condition.create ()
+
+(** One entry per worker a pool still waits for. *)
+let assignments : t Queue.t = Queue.create ()
+
+(** Domains waiting for an assignment, or spawned to take one. *)
+let available = ref 0
+
+(** Worker domains alive: in a pool, parked, or starting. *)
+let live = ref 0
+
+(* Runs with [park_mutex] held and this domain counted in
+   [available]; releases the mutex. *)
+let rec park () =
+  while Queue.is_empty assignments do
+    Condition.wait park_cond park_mutex
+  done;
+  let p = Queue.pop assignments in
+  decr available;
+  Mutex.unlock park_mutex;
+  worker p;
+  Mutex.lock park_mutex;
+  if !live <= max_live then begin
+    incr available;
+    park ()
+  end
+  else begin
+    decr live;
+    Mutex.unlock park_mutex
+  end
+
+(** [create ~jobs] starts a pool of [min jobs recommended]
+    workers (at least 0: with [jobs <= 1] no domain is used and {!run}
+    executes inline), taking parked domains first and spawning the
+    rest.  By default the pool never oversubscribes the hardware —
+    OCaml 5 minor collections are stop-the-world across domains, so
+    excess domains make allocation-heavy workloads {e slower}.
+    [~oversubscribe:true] lifts that clamp (still bounded by
+    [max 16 recommended]): the serve reactor wants
+    concurrency-for-latency — a short compile overtaking a long DSE
+    sweep — which the OS scheduler provides by timeslicing domains
+    even on a single core. *)
 let create ?(oversubscribe = false) ~(jobs : int) () : t =
   let jobs =
     if jobs <= 1 then 0
@@ -137,10 +190,26 @@ let create ?(oversubscribe = false) ~(jobs : int) () : t =
       queue = Queue.create ();
       pending = 0;
       stopping = false;
-      domains = [];
+      attached = jobs;
+      workers_gone = Condition.create ();
+      failure = None;
     }
   in
-  p.domains <- List.init jobs (fun _ -> Domain.spawn (worker p));
+  Mutex.lock park_mutex;
+  for _ = 1 to jobs do
+    Queue.push p assignments
+  done;
+  let spawn = max 0 (Queue.length assignments - !available) in
+  available := !available + spawn;
+  live := !live + spawn;
+  Condition.broadcast park_cond;
+  Mutex.unlock park_mutex;
+  for _ = 1 to spawn do
+    ignore
+      (Domain.spawn (fun () ->
+           Mutex.lock park_mutex;
+           park ()))
+  done;
   p
 
 (** Number of worker domains actually running (1 when inline). *)
@@ -205,11 +274,17 @@ let submit (p : t) (task : unit -> unit) : bool =
     accepted
   end
 
-(** Stop the workers and join their domains.  Idempotent. *)
+(** Stop the workers and wait until each has left the pool (to park
+    or exit); re-raises the first exception a {!submit}ted task
+    raised.  Idempotent. *)
 let shutdown (p : t) : unit =
   Mutex.lock p.mutex;
   p.stopping <- true;
   Condition.broadcast p.work_available;
+  while p.attached > 0 do
+    Condition.wait p.workers_gone p.mutex
+  done;
+  let failure = p.failure in
+  p.failure <- None;
   Mutex.unlock p.mutex;
-  List.iter Domain.join p.domains;
-  p.domains <- []
+  Option.iter raise failure

@@ -17,8 +17,9 @@ val fanout : jobs:int -> Llvmir.Pass.fanout
 (** A live pool: workers are spawned once and reused by every {!run}. *)
 type t
 
-(** [create ~jobs ()] spawns the workers ([jobs <= 1] means inline, no
-    domains); the count is clamped to the hardware unless
+(** [create ~jobs ()] starts the workers ([jobs <= 1] means inline,
+    no domains), reusing domains parked by an earlier {!shutdown} and
+    spawning the rest; the count is clamped to the hardware unless
     [~oversubscribe:true], which trades GC-coordination throughput for
     concurrency-for-latency (the serve reactor's trade: a short job
     must be able to overtake a long one even on few cores). *)
@@ -41,5 +42,9 @@ val run : t -> ('a -> 'b) -> 'a list -> 'b list
     batches run inline and are safe. *)
 val submit : t -> (unit -> unit) -> bool
 
-(** Stop the workers and join their domains.  Idempotent. *)
+(** Stop the workers and wait until each has left the pool.  A worker
+    domain stays parked for the next {!create} while the process has at
+    most [Domain.recommended_domain_count ()] worker domains; the rest
+    exit.  Re-raises the first
+    exception a {!submit}ted task raised.  Idempotent. *)
 val shutdown : t -> unit

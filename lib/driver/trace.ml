@@ -27,7 +27,9 @@ type record = {
   tr_instrs_after : int;
   tr_minor_words : float;  (** words allocated on the minor heap *)
   tr_major_words : float;  (** words allocated directly on the major heap *)
-  tr_cached : bool;  (** served from the result cache, not re-run *)
+  tr_cached : bool;
+      (** reused, not re-run: served from the result cache, or a
+          sibling job's front-end run shared within a batch *)
 }
 
 let schema_version = 1
@@ -190,12 +192,16 @@ let validate (json : string) : (unit, string) result =
 
 (** Per-(stage, pass) aggregate over a batch: run count, total and mean
     time, and the net IR delta — the "where does compile time go and
-    what does each pass actually do" table. *)
+    what does each pass actually do" table.  Only passes that ran in
+    this batch count: cached records (a cache hit's, or a sibling
+    job's shared front-end) are left out of every column and counted
+    on the footer line instead. *)
 let summary_table (records : record list) : string =
   let tbl : (string * string, int * float * int) Hashtbl.t =
     Hashtbl.create 16
   in
   let order = ref [] in
+  let cached, ran = List.partition (fun r -> r.tr_cached) records in
   List.iter
     (fun r ->
       let k = (r.tr_stage, r.tr_pass) in
@@ -207,7 +213,7 @@ let summary_table (records : record list) : string =
         ( n + 1,
           secs +. r.tr_seconds,
           delta + (r.tr_instrs_after - r.tr_instrs_before) ))
-    records;
+    ran;
   let t =
     Support.Table.create
       ~aligns:
@@ -229,3 +235,5 @@ let summary_table (records : record list) : string =
         ])
     (List.rev !order);
   Support.Table.render t
+  ^ Printf.sprintf "\ncached: %d records reused, not re-run (not counted above)"
+      (List.length cached)

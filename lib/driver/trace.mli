@@ -13,7 +13,9 @@ type record = {
   tr_instrs_after : int;
   tr_minor_words : float;  (** words allocated on the minor heap *)
   tr_major_words : float;  (** words allocated directly on the major heap *)
-  tr_cached : bool;  (** served from the result cache, not re-run *)
+  tr_cached : bool;
+      (** reused, not re-run: served from the result cache, or a
+          sibling job's front-end run shared within a batch *)
 }
 
 val schema_version : int
@@ -36,6 +38,7 @@ val write_file : tool:string -> string -> record list -> unit
     records array, required keys on every record. *)
 val validate : string -> (unit, string) result
 
-(** Per-(stage, pass) aggregate over a batch: run count, total/mean
-    time, net IR delta. *)
+(** Per-(stage, pass) aggregate over the records that ran in a batch:
+    run count, total/mean time, net IR delta.  Cached records are left
+    out of every column and counted on one footer line. *)
 val summary_table : record list -> string

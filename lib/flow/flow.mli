@@ -62,10 +62,45 @@ val lint_kernel :
   Workloads.Kernels.kernel ->
   Support.Diag.t list
 
-(** Run one flow on a kernel and synthesize under the chosen
+(** A front-end's product: the HLS-ready module one flow made of a
+    kernel under its directives.  It has no mutable part, so several
+    {!estimate} calls may share one. *)
+type frontend = {
+  fe_kernel : string;
+  fe_kind : flow_kind;
+  fe_llvm : Llvmir.Lmodule.t;
+  fe_seconds : float;  (** front-of-HLS compile time *)
+  fe_cpp_source : string option;
+  fe_adaptor_report : Adaptor.report option;
+}
+
+(** Stage one of {!run}: build the kernel under [directives] and run
+    one flow's front-end on it.  [Error diagnostics] when the strict
+    adaptor gate blocks (direct-IR flow only). *)
+val frontend :
+  ?directives:Workloads.Kernels.directives ->
+  ?pipeline:Adaptor.Pipeline.t ->
+  ?trace:Support.Tracing.hook ->
+  Workloads.Kernels.kernel ->
+  flow_kind ->
+  (frontend, Support.Diag.t list) Stdlib.result
+
+(** Stage two of {!run}: estimate a front-end's module under one
     scheduling discipline ([sched], default
-    {!Hls_backend.Backend.Static}).  [Error diagnostics] when the
-    strict adaptor gate blocks (direct-IR flow only). *)
+    {!Hls_backend.Backend.Static}) and clock.
+    @raise Hls_backend.Estimate.Rejected when the module is not
+    synthesizable. *)
+val estimate :
+  ?clock_ns:float ->
+  ?sched:Hls_backend.Backend.sched ->
+  ?trace:Support.Tracing.hook ->
+  frontend ->
+  result
+
+(** {!frontend} then {!estimate}: run one flow on a kernel and
+    synthesize under the chosen scheduling discipline.
+    [Error diagnostics] when the strict adaptor gate blocks
+    (direct-IR flow only). *)
 val run :
   ?directives:Workloads.Kernels.directives ->
   ?pipeline:Adaptor.Pipeline.t ->
@@ -143,7 +178,8 @@ type comparison = {
   cpp_dyn : result;
 }
 
-(** Run both flows under both scheduling disciplines on a kernel. *)
+(** Run both flows under both scheduling disciplines on a kernel;
+    each flow's front-end runs once, for both backends. *)
 val compare_flows :
   ?directives:Workloads.Kernels.directives ->
   ?clock_ns:float ->

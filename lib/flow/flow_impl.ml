@@ -103,55 +103,78 @@ let hls_cpp_frontend ?(trace = Support.Tracing.null) (m : Mhir.Ir.modul) :
   let lm = llvm_cleanup ~trace lm in
   (lm, cpp, Sys.time () -. t0)
 
-(** Run one flow on a kernel and synthesize under the chosen
-    scheduling discipline.  [Error diagnostics] when the strict
-    adaptor gate blocks (direct-IR flow only). *)
-let run ?(directives = K.pipelined) ?pipeline ?clock_ns
-    ?(sched = Hls_backend.Backend.Static) ?(trace = Support.Tracing.null)
-    (kernel : K.kernel) (kind : flow_kind) :
-    (result, Support.Diag.t list) Stdlib.result =
+(** A front-end's product: the HLS-ready module one flow made of a
+    kernel under its directives.  Immutable, so any number of
+    estimates may read it. *)
+type frontend = {
+  fe_kernel : string;
+  fe_kind : flow_kind;
+  fe_llvm : Llvmir.Lmodule.t;
+  fe_seconds : float;  (** front-of-HLS compile time *)
+  fe_cpp_source : string option;
+  fe_adaptor_report : Adaptor.report option;
+}
+
+(** Stage one: build the kernel under [directives] and run one flow's
+    front-end on it.  [Error diagnostics] when the strict adaptor gate
+    blocks (direct-IR flow only). *)
+let frontend ?(directives = K.pipelined) ?pipeline
+    ?(trace = Support.Tracing.null) (kernel : K.kernel) (kind : flow_kind) :
+    (frontend, Support.Diag.t list) Stdlib.result =
   let m = kernel.K.build directives in
-  let synthesize lm =
-    let t0 = Sys.time () in
-    let hls =
-      Hls_backend.Backend.synthesize ?clock_ns ~sched ~top:kernel.K.kname lm
-    in
-    let n = Llvmir.Lmodule.instr_count lm in
-    trace
-      (Support.Tracing.event ~stage:"hls"
-         ~pass:("estimate-" ^ Hls_backend.Backend.sched_name sched)
-         ~seconds:(Sys.time () -. t0) ~before:n ~after:n);
-    hls
+  let fe llvm seconds cpp report =
+    {
+      fe_kernel = kernel.K.kname;
+      fe_kind = kind;
+      fe_llvm = llvm;
+      fe_seconds = seconds;
+      fe_cpp_source = cpp;
+      fe_adaptor_report = report;
+    }
   in
   match kind with
-  | Direct_ir -> (
-      match direct_ir_frontend ?pipeline ~trace m with
-      | Error ds -> Error ds
-      | Ok (lm, report, seconds) ->
-          Ok
-            {
-              kernel = kernel.K.kname;
-              kind;
-              sched;
-              llvm = lm;
-              hls = synthesize lm;
-              seconds;
-              cpp_source = None;
-              adaptor_report = Some report;
-            })
+  | Direct_ir ->
+      Result.map
+        (fun (lm, report, seconds) -> fe lm seconds None (Some report))
+        (direct_ir_frontend ?pipeline ~trace m)
   | Hls_cpp ->
       let lm, cpp, seconds = hls_cpp_frontend ~trace m in
-      Ok
-        {
-          kernel = kernel.K.kname;
-          kind;
-          sched;
-          llvm = lm;
-          hls = synthesize lm;
-          seconds;
-          cpp_source = Some cpp;
-          adaptor_report = None;
-        }
+      Ok (fe lm seconds (Some cpp) None)
+
+(** Stage two: estimate a front-end's module under one scheduling
+    discipline and clock.
+    @raise Hls_backend.Estimate.Rejected when the module is not
+    synthesizable. *)
+let estimate ?clock_ns ?(sched = Hls_backend.Backend.Static)
+    ?(trace = Support.Tracing.null) (fe : frontend) : result =
+  let lm = fe.fe_llvm in
+  let t0 = Sys.time () in
+  let hls =
+    Hls_backend.Backend.synthesize ?clock_ns ~sched ~top:fe.fe_kernel lm
+  in
+  let n = Llvmir.Lmodule.instr_count lm in
+  trace
+    (Support.Tracing.event ~stage:"hls"
+       ~pass:("estimate-" ^ Hls_backend.Backend.sched_name sched)
+       ~seconds:(Sys.time () -. t0) ~before:n ~after:n);
+  {
+    kernel = fe.fe_kernel;
+    kind = fe.fe_kind;
+    sched;
+    llvm = lm;
+    hls;
+    seconds = fe.fe_seconds;
+    cpp_source = fe.fe_cpp_source;
+    adaptor_report = fe.fe_adaptor_report;
+  }
+
+(** Run one flow on a kernel and synthesize under the chosen
+    scheduling discipline: {!frontend} then {!estimate}. *)
+let run ?directives ?pipeline ?clock_ns ?sched ?trace (kernel : K.kernel)
+    (kind : flow_kind) : (result, Support.Diag.t list) Stdlib.result =
+  Result.map
+    (estimate ?clock_ns ?sched ?trace)
+    (frontend ?directives ?pipeline ?trace kernel kind)
 
 (** Exception-raising convenience for process boundaries: raises
     {!Support.Diag.Failed} where {!run} returns [Error]. *)
@@ -288,17 +311,21 @@ type comparison = {
   cpp_dyn : result;
 }
 
-(** Run both flows under both scheduling disciplines on a kernel. *)
+(** Run both flows under both scheduling disciplines on a kernel:
+    each flow's front-end runs once and both backends estimate its
+    module. *)
 let compare_flows ?(directives = K.pipelined) ?clock_ns (kernel : K.kernel) :
     comparison =
-  let cell sched kind = run_exn ~directives ?clock_ns ~sched kernel kind in
-  {
-    c_kernel = kernel.K.kname;
-    direct = cell Hls_backend.Backend.Static Direct_ir;
-    cpp = cell Hls_backend.Backend.Static Hls_cpp;
-    direct_dyn = cell Hls_backend.Backend.Dynamic Direct_ir;
-    cpp_dyn = cell Hls_backend.Backend.Dynamic Hls_cpp;
-  }
+  let both kind =
+    match frontend ~directives kernel kind with
+    | Error ds -> raise (Support.Diag.Failed ds)
+    | Ok fe ->
+        ( estimate ?clock_ns ~sched:Hls_backend.Backend.Static fe,
+          estimate ?clock_ns ~sched:Hls_backend.Backend.Dynamic fe )
+  in
+  let direct, direct_dyn = both Direct_ir in
+  let cpp, cpp_dyn = both Hls_cpp in
+  { c_kernel = kernel.K.kname; direct; cpp; direct_dyn; cpp_dyn }
 
 let latency_ratio (c : comparison) =
   float_of_int c.cpp.hls.Hls_backend.Estimate.latency

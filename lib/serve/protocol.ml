@@ -7,7 +7,8 @@
     the daemon dispatcher both consume these types, so the two surfaces
     cannot drift.  Errors are carried as {!Support.Diag.t} lists (the
     unified result convention), never free-form strings; protocol-level
-    failures (unparseable frame, unknown kind) use rule [HLS905].
+    failures (unparseable frame, unknown kind, unknown key) use rule
+    [HLS905].
 
     Wire format: each frame is a 4-byte big-endian byte length followed
     by one JSON document.  Three frame shapes, discriminated by the
@@ -255,20 +256,21 @@ let opt_str_list = function
 
 let str_list xs = Json.List (List.map (fun s -> Json.Str s) xs)
 
-let directives_to_json (d : directives) : Json.t =
-  Json.Obj
-    [
-      ("ii", opt_int d.d_ii);
-      ("unroll", opt_int d.d_unroll);
-      ("strategy", Json.Str d.d_strategy);
-      ( "partitions",
-        Json.List
-          (List.map
-             (fun (a, kind, f, dim) ->
-               Json.List
-                 [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ])
-             d.d_partitions) );
-    ]
+let directives_fields (d : directives) : (string * Json.t) list =
+  [
+    ("ii", opt_int d.d_ii);
+    ("unroll", opt_int d.d_unroll);
+    ("strategy", Json.Str d.d_strategy);
+    ( "partitions",
+      Json.List
+        (List.map
+           (fun (a, kind, f, dim) ->
+             Json.List
+               [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ])
+           d.d_partitions) );
+  ]
+
+let directives_to_json (d : directives) : Json.t = Json.Obj (directives_fields d)
 
 let request_fields : request -> (string * Json.t) list = function
   | Compile c ->
@@ -548,6 +550,31 @@ let get_opt_str_list name j =
 
 let ( let* ) = Result.bind
 
+(** Keys a request object may carry besides its own fields: the frame
+    envelope and the kind. *)
+let envelope_keys = [ "v"; "frame"; "id"; "stream"; "kind" ]
+
+(** Reject the first key of object [j] outside [envelope @ known]: a
+    misspelled knob must fail, not silently take its default.  [known]
+    comes from the encoder's own field list, so whatever this module
+    encodes decodes. *)
+let only_known_keys ~what ?(envelope = []) (known : (string * Json.t) list)
+    (j : Json.t) : (unit, string) result =
+  let known = List.map fst known in
+  match j with
+  | Json.Obj fields -> (
+      match
+        List.find_opt
+          (fun (k, _) -> not (List.mem k envelope || List.mem k known))
+          fields
+      with
+      | None -> Ok ()
+      | Some (k, _) ->
+          Error
+            (Printf.sprintf "unknown key '%s' in %s (known: %s)" k what
+               (String.concat ", " known)))
+  | _ -> Ok ()
+
 let directives_of_json (j : Json.t) : (directives, string) result =
   match j with
   | Json.Null -> Ok no_directives
@@ -577,7 +604,9 @@ let directives_of_json (j : Json.t) : (directives, string) result =
             go [] xs
         | Some _ -> Error "field 'partitions' must be a list"
       in
-      Ok { d_ii; d_unroll; d_strategy; d_partitions }
+      let d = { d_ii; d_unroll; d_strategy; d_partitions } in
+      let* () = only_known_keys ~what:"directives" (directives_fields d) j in
+      Ok d
   | _ -> Error "field 'directives' must be an object"
 
 let directives_member (j : Json.t) : (directives, string) result =
@@ -585,10 +614,8 @@ let directives_member (j : Json.t) : (directives, string) result =
   | None -> Ok no_directives
   | Some d -> directives_of_json d
 
-(** Decode a request object ([{"kind": ..., ...}], no frame
-    envelope).  Missing optional fields take their defaults, so
-    hand-written client JSON stays short. *)
-let request_of_json (j : Json.t) : (request, string) result =
+(** Decode a request object's fields, ignoring unknown keys. *)
+let request_fields_of_json (j : Json.t) : (request, string) result =
   let* kind = get_str "kind" j in
   match kind with
   | "compile" ->
@@ -672,6 +699,19 @@ let request_of_json (j : Json.t) : (request, string) result =
   | "ping" -> Ok Ping
   | "shutdown" -> Ok Shutdown
   | k -> Error (Printf.sprintf "unknown request kind '%s'" k)
+
+(** Decode a request object ([{"kind": ..., ...}], with or without the
+    frame envelope).  Missing optional fields take their defaults, so
+    hand-written client JSON stays short; an unknown key is an error
+    naming it. *)
+let request_of_json (j : Json.t) : (request, string) result =
+  let* r = request_fields_of_json j in
+  let* () =
+    only_known_keys
+      ~what:(request_kind r ^ " request")
+      ~envelope:envelope_keys (request_fields r) j
+  in
+  Ok r
 
 let severity_of_name = function
   | "note" -> Ok Diag.Note

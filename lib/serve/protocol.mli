@@ -216,8 +216,11 @@ type frame =
     {!request_key} canonicalizes. *)
 val request_to_json : request -> Json.t
 
-(** Decode a bare request object.  Missing optional fields take their
-    defaults, so hand-written client JSON stays short. *)
+(** Decode a request object, bare or inside its frame envelope
+    ([v], [frame], [id], [stream]).  Missing optional fields take their
+    defaults, so hand-written client JSON stays short; a key the
+    request kind does not define (top level or in [directives]) is an
+    error naming it, which the daemon answers as HLS905. *)
 val request_of_json : Json.t -> (request, string) result
 
 val frame_to_json : frame -> Json.t

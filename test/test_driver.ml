@@ -267,6 +267,33 @@ let test_pool_preserves_order () =
     (List.map (fun x -> x * x) xs)
     (Pool.map ~jobs:4 (fun x -> x * x) xs)
 
+let test_pool_reuses_domains () =
+  (* a shut-down pool's worker domains park and the next pool runs on
+     them, so opening a session per batch spawns no domain after the
+     first; a submitted task's exception surfaces at shutdown *)
+  let domains_of p =
+    Pool.run p (fun _ -> (Domain.self () :> int)) (List.init 64 Fun.id)
+  in
+  let a = Pool.create ~jobs:2 () in
+  ignore (domains_of a);
+  Pool.shutdown a;
+  (* domain ids grow with every spawn: any domain spawned from here on
+     has an id above the probe's *)
+  let probe = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  for _ = 1 to 20 do
+    let b = Pool.create ~jobs:2 () in
+    let ids = domains_of b in
+    Pool.shutdown b;
+    Alcotest.(check bool) "no domain spawned" true
+      (List.for_all (fun d -> d < probe) ids)
+  done;
+  let c = Pool.create ~jobs:2 () in
+  if Pool.submit c (fun () -> failwith "boom") then
+    match Pool.shutdown c with
+    | () -> Alcotest.fail "the task's exception must surface at shutdown"
+    | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m
+  else Pool.shutdown c
+
 let test_batch_determinism () =
   (* run_batch clamps its worker count to the hardware, so drive the
      pool directly: 4 real domains vs the inline sequential path must
@@ -276,6 +303,179 @@ let test_batch_determinism () =
   let par = Pool.map ~jobs:4 (D.run_job ~pipeline:P.default ~cache:None) js in
   Alcotest.(check string)
     "4-domain batch byte-identical to sequential" (qor seq) (qor par)
+
+(* ------------------------------------------------------------------ *)
+(* Front-end groups                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module B = Hls_backend.Backend
+
+(** The full grid: every kernel × {!D.default_grid} × both flows ×
+    both schedulers (224 jobs, 112 front-end groups). *)
+let full_grid () =
+  D.all_kernel_jobs
+    ~flows:[ Flow.Direct_ir; Flow.Hls_cpp ]
+    ~scheds:[ B.Static; B.Dynamic ] ()
+
+let shuffle seed xs =
+  let a = Array.of_list xs in
+  let rng = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(** The per-job computation: each job its own one-member group. *)
+let per_job ?(pipeline = P.default) ?cache js =
+  List.map (D.run_job ~pipeline ~cache) js
+
+(** An adaptor report without its per-pass wall times. *)
+let untimed =
+  Option.map (fun r ->
+      String.split_on_char '\n' r
+      |> List.filter (fun l -> not (String.starts_with ~prefix:"  pass " l))
+      |> String.concat "\n")
+
+let check_same_outcomes what (want : D.outcome list) (got : D.outcome list) =
+  Alcotest.(check int) (what ^ ": outcome count") (List.length want)
+    (List.length got);
+  List.iter2
+    (fun (w : D.outcome) (g : D.outcome) ->
+      let l = w.D.o_job.D.label in
+      Alcotest.(check string) (what ^ ": job order") l g.D.o_job.D.label;
+      Alcotest.(check bool) (what ^ ": QoR and diagnostics of " ^ l) true
+        (w.D.o_qor = g.D.o_qor);
+      Alcotest.(check (option string))
+        (what ^ ": adaptor report of " ^ l)
+        (untimed w.D.o_adaptor) (untimed g.D.o_adaptor))
+    want got;
+  Alcotest.(check string) (what ^ ": rendered QoR") (qor want) (qor got)
+
+let test_groups_equal_per_job () =
+  let js = shuffle 12 (full_grid ()) in
+  Alcotest.(check int) "full grid" 224 (List.length js);
+  let want = per_job js in
+  List.iter
+    (fun jobs ->
+      D.with_session ~jobs (fun s ->
+          check_same_outcomes
+            (Printf.sprintf "%d-worker submit" jobs)
+            want (D.submit_exn s js)))
+    [ 1; 2 ]
+
+let test_groups_halve_frontend_runs () =
+  (* the trace evidence for the saving: on a cold grid, every group of
+     two runs its front-end once, so the non-cached front-end records
+     halve while every job keeps its own estimate *)
+  let js = full_grid () in
+  let count ~hls outs =
+    List.length
+      (List.filter
+         (fun (r : Tr.record) ->
+           (not r.Tr.tr_cached) && (r.Tr.tr_stage = "hls") = hls)
+         (List.concat_map (fun (o : D.outcome) -> o.D.o_trace) outs))
+  in
+  let alone = per_job js in
+  let grouped = D.with_session ~jobs:1 (fun s -> D.submit_exn s js) in
+  Alcotest.(check int) "front-end records halve"
+    (count ~hls:false alone / 2) (count ~hls:false grouped);
+  Alcotest.(check bool) "front-end records are even" true
+    (count ~hls:false alone mod 2 = 0);
+  Alcotest.(check int) "per-job estimates" 224 (count ~hls:true alone);
+  Alcotest.(check int) "grouped estimates" 224 (count ~hls:true grouped);
+  Alcotest.(check int) "no job served from cache" 0
+    (List.length (List.filter (fun (o : D.outcome) -> o.D.o_from_cache) grouped))
+
+let test_mixed_group () =
+  (* a cache holding only the static half: static members hit, their
+     dynamic siblings compute afresh — and answer as a per-job run does *)
+  let js =
+    List.filter
+      (fun (j : D.job) -> j.D.kernel = "gemm" || j.D.kernel = "fir")
+      (full_grid ())
+  in
+  let static = List.filter (fun (j : D.job) -> j.D.sched = B.Static) js in
+  let dir = fresh_dir () in
+  D.with_session ~cache_dir:dir (fun s -> ignore (D.submit_exn s static));
+  let outs = D.with_session ~cache_dir:dir (fun s -> D.submit_exn s js) in
+  List.iter
+    (fun (o : D.outcome) ->
+      let j = o.D.o_job in
+      Alcotest.(check bool) ("provenance of " ^ j.D.label)
+        (j.D.sched = B.Static) o.D.o_from_cache;
+      if j.D.sched = B.Dynamic then
+        Alcotest.(check bool) ("fresh front-end of " ^ j.D.label) true
+          (List.for_all (fun (r : Tr.record) -> not r.Tr.tr_cached) o.D.o_trace))
+    outs;
+  check_same_outcomes "mixed group" (per_job js) outs;
+  rm_rf dir
+
+let test_group_failures () =
+  (* a strict-adaptor block fails every member of its group with the
+     same diagnostics, and an unknown kernel is HLS903 per member —
+     exactly as each job alone *)
+  let blocked =
+    match P.disable "eliminate-descriptors" P.default with
+    | Ok p -> p
+    | Error d -> Alcotest.fail (Support.Diag.to_string d)
+  in
+  let js =
+    [
+      D.job ~kernel:"gemm" K.pipelined;
+      D.job ~kernel:"nosuch" K.pipelined;
+      D.job ~sched:B.Dynamic ~kernel:"gemm" K.pipelined;
+      D.job ~flow:Flow.Hls_cpp ~kernel:"gemm" K.pipelined;
+      D.job ~sched:B.Dynamic ~kernel:"nosuch" K.pipelined;
+    ]
+  in
+  let outs =
+    D.with_session ~jobs:2 (fun s -> D.submit_exn ~pipeline:blocked s js)
+  in
+  check_same_outcomes "blocked batch" (per_job ~pipeline:blocked js) outs;
+  let rules (o : D.outcome) =
+    match o.D.o_qor with
+    | Ok _ -> []
+    | Error ds -> List.sort_uniq compare (List.map (fun d -> d.Support.Diag.rule) ds)
+  in
+  Alcotest.(check (list (list string)))
+    "diagnostic rules per member"
+    [ [ "HLS101"; "HLS102" ]; [ "HLS903" ]; [ "HLS101"; "HLS102" ]; []; [ "HLS903" ] ]
+    (List.map rules outs);
+  (* a relaxed pipeline lets the same gap through to the backends, which
+     reject each member under its own label *)
+  let relaxed = P.relaxed blocked in
+  let js = List.filter (fun (j : D.job) -> j.D.kernel = "gemm") js in
+  let outs = D.with_session (fun s -> D.submit_exn ~pipeline:relaxed s js) in
+  check_same_outcomes "rejected batch" (per_job ~pipeline:relaxed js) outs;
+  List.iter
+    (fun (o : D.outcome) ->
+      match (o.D.o_job.D.flow, o.D.o_qor) with
+      | Flow.Direct_ir, Error ds ->
+          List.iter
+            (fun d ->
+              Alcotest.(check string) "HLS902" "HLS902" d.Support.Diag.rule;
+              Alcotest.(check (option string)) "labelled with its member"
+                (Some o.D.o_job.D.label) d.Support.Diag.func)
+            ds
+      | Flow.Direct_ir, Ok _ -> Alcotest.fail "relaxed gap must be rejected"
+      | Flow.Hls_cpp, _ -> ())
+    outs
+
+let test_summary_skips_cached () =
+  let dir = fresh_dir () in
+  let js = small_jobs () in
+  ignore (D.run_batch ~cache_dir:dir js);
+  let b = D.run_batch ~cache_dir:dir js in
+  let n = List.length (D.trace_records b) in
+  let table = Tr.summary_table (D.trace_records b) in
+  Alcotest.(check bool) "memoised batch reports no runs" true
+    (not (Str_find.contains table "| adaptor"));
+  Alcotest.(check bool) "cached records on the footer" true
+    (Str_find.contains table (Printf.sprintf "cached: %d records reused" n));
+  rm_rf dir
 
 let test_batch_report_stats () =
   let b = D.run_batch (small_jobs ()) in
@@ -307,6 +507,16 @@ let suite =
     Alcotest.test_case "trace schema rejects malformed" `Quick
       test_trace_schema_rejects_malformed;
     Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order;
+    Alcotest.test_case "pool reuses parked domains" `Quick
+      test_pool_reuses_domains;
     Alcotest.test_case "batch determinism" `Quick test_batch_determinism;
     Alcotest.test_case "batch report stats" `Quick test_batch_report_stats;
+    Alcotest.test_case "front-end groups equal per-job runs" `Quick
+      test_groups_equal_per_job;
+    Alcotest.test_case "front-end groups halve front-end runs" `Quick
+      test_groups_halve_frontend_runs;
+    Alcotest.test_case "front-end group half cached" `Quick test_mixed_group;
+    Alcotest.test_case "front-end group failures" `Quick test_group_failures;
+    Alcotest.test_case "trace summary skips cached records" `Quick
+      test_summary_skips_cached;
   ]

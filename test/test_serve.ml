@@ -225,6 +225,51 @@ let test_lenient_defaults () =
           checkb "default passes" true (c.P.c_passes = None)
       | Ok r -> Alcotest.failf "wrong kind %s" (P.request_kind r))
 
+let test_strict_roundtrip () =
+  (* every request kind the typed client encodes decodes under the
+     unknown-key check, bare and inside its frame envelope *)
+  checkb "every request kind covered" true
+    (List.sort_uniq compare (List.map P.request_kind all_requests)
+    = List.sort compare
+        [ "compile"; "lint"; "opt"; "dse"; "fuzz"; "list"; "stats"; "ping";
+          "shutdown" ]);
+  List.iter
+    (fun req ->
+      (match P.request_of_json (P.request_to_json req) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "bare %s: %s" (P.request_kind req) e);
+      let f = P.Request { q_id = 7; q_stream = true; q_req = req } in
+      match P.frame_of_string (P.frame_to_string f) with
+      | Ok f' -> check "framed" (P.frame_to_string f) (P.frame_to_string f')
+      | Error e -> Alcotest.failf "framed %s: %s" (P.request_kind req) e)
+    all_requests
+
+let test_unknown_keys_rejected () =
+  let decode text =
+    Result.bind (Support.Json.parse text) P.request_of_json
+  in
+  let rejects ~key text =
+    match decode text with
+    | Ok r -> Alcotest.failf "%s accepted as %s" text (P.request_kind r)
+    | Error e ->
+        checkb
+          (Printf.sprintf "error names '%s': %s" key e)
+          true
+          (Str_find.contains e (Printf.sprintf "'%s'" key))
+  in
+  rejects ~key:"clock" {|{"kind": "compile", "kernel": "gemm", "clock": 5.0}|};
+  rejects ~key:"pipeline_ii"
+    {|{"kind": "compile", "kernel": "gemm", "directives": {"pipeline_ii": 2}}|};
+  rejects ~key:"sched" {|{"kind": "ping", "sched": "dynamic"}|};
+  rejects ~key:"budget" {|{"kind": "dse", "kernel": "fir", "budget": 8}|};
+  (* the envelope keys and absent-key defaults stay accepted *)
+  match
+    decode {|{"v": 1, "frame": "request", "id": 4, "stream": false, "kind": "ping"}|}
+  with
+  | Ok P.Ping -> ()
+  | Ok r -> Alcotest.failf "wrong kind %s" (P.request_kind r)
+  | Error e -> Alcotest.fail e
+
 let test_request_key () =
   (* Identical content gives identical keys; jobs that must never be
      coalesced have none. *)
@@ -581,6 +626,34 @@ let test_sentinel_id () =
       | Ok r -> Alcotest.failf "shutdown: %s" (render_reply r)
       | Error e -> Alcotest.failf "shutdown: %s" e)
 
+let test_unknown_key_frame () =
+  (* a misspelled knob over the wire is an HLS905 naming the key, not a
+     compile at the default *)
+  with_daemon (fun sock c ->
+      let fd = raw_connect sock in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let body =
+            {|{"v": 1, "frame": "request", "id": 1, "kind": "compile", "kernel": "gemm", "clock": 5.0}|}
+          in
+          let n = String.length body in
+          let b = Bytes.create (4 + n) in
+          Bytes.set_int32_be b 0 (Int32.of_int n);
+          Bytes.blit_string body 0 b 4 n;
+          ignore (Unix.write fd b 0 (4 + n));
+          match P.read_frame fd with
+          | Ok (P.Response { r_reply = P.Failed [ d ]; _ }) ->
+              check "rule" "HLS905" d.Support.Diag.rule;
+              checkb "names the key" true
+                (Str_find.contains d.Support.Diag.message "'clock'")
+          | Ok f -> Alcotest.failf "unexpected frame %s" (P.frame_to_string f)
+          | Error e -> Alcotest.failf "read: %s" e);
+      match Client.request c P.Shutdown with
+      | Ok (P.Done P.R_shutdown) -> ()
+      | Ok r -> Alcotest.failf "shutdown: %s" (render_reply r)
+      | Error e -> Alcotest.failf "shutdown: %s" e)
+
 let test_latency_ring_bounded () =
   (* The per-kind latency store is a bounded ring: after far more than
      its capacity of samples, the reported count must stay at the
@@ -835,12 +908,17 @@ let suite =
     Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
     Alcotest.test_case "lenient request defaults" `Quick test_lenient_defaults;
+    Alcotest.test_case "strict request round-trip" `Quick test_strict_roundtrip;
+    Alcotest.test_case "unknown request keys rejected" `Quick
+      test_unknown_keys_rejected;
     Alcotest.test_case "request keys" `Quick test_request_key;
     Alcotest.test_case "incremental framing" `Quick test_incremental_framing;
     Alcotest.test_case "daemon end-to-end" `Quick test_daemon;
     Alcotest.test_case "socket removed on shutdown" `Quick test_socket_removed;
     Alcotest.test_case "sentinel id for unattributable errors" `Quick
       test_sentinel_id;
+    Alcotest.test_case "unknown key over the wire (HLS905)" `Quick
+      test_unknown_key_frame;
     Alcotest.test_case "latency ring bounded" `Quick test_latency_ring_bounded;
     Alcotest.test_case "daemon survives signals mid-read" `Quick
       test_signal_survival;
