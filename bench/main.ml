@@ -393,24 +393,26 @@ let compile_bench () =
   let t = T.create ~aligns:[ T.Left; T.Right ] [ "kernel"; "time/run (ms)" ] in
   List.iter (fun (n, ms) -> T.add_row t [ n; Printf.sprintf "%.3f" ms ]) rows;
   T.print t;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\n  \"version\": 1,\n  \"experiment\": \"compile\",\n";
-  Buffer.add_string buf "  \"unit\": \"ms-per-run\",\n  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, ms) ->
-      let kname =
-        match String.rindex_opt name '/' with
-        | Some j -> String.sub name (j + 1) (String.length name - j - 1)
-        | None -> name
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"kernel\": \"%s\", \"ms\": %.6f }%s\n" kname ms
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  let module J = Support.Json in
+  let kernel_row (name, ms) =
+    let kname =
+      match String.rindex_opt name '/' with
+      | Some j -> String.sub name (j + 1) (String.length name - j - 1)
+      | None -> name
+    in
+    J.Obj [ ("kernel", J.Str kname); ("ms", J.Float ms) ]
+  in
+  let doc =
+    J.Obj
+      [
+        ("version", J.Int 1);
+        ("experiment", J.Str "compile");
+        ("unit", J.Str "ms-per-run");
+        ("kernels", J.List (List.map kernel_row rows));
+      ]
+  in
+  Out_channel.with_open_text out (fun oc ->
+      Out_channel.output_string oc (J.to_string doc ^ "\n"));
   Printf.printf "wrote %s (%d kernels%s)\n" out (List.length rows)
     (if smoke then ", smoke budget" else "")
 

@@ -9,6 +9,7 @@
 module K = Workloads.Kernels
 module E = Hls_backend.Estimate
 module P = Mhls_serve.Protocol
+module J = Support.Json
 
 (** `mhlsc list`. *)
 let kernel_list (ks : P.kernel_info list) : string =
@@ -64,16 +65,15 @@ let cosim (cs : Flow.cosim_outcome) : string =
 let rule_list ~json =
   let cat = Hls_backend.Lint.catalog in
   if json then
-    Printf.sprintf "[%s]\n"
-      (String.concat ", "
-         (List.map
-            (fun (id, sev, summary) ->
-              Printf.sprintf
-                "{\"id\": \"%s\", \"severity\": \"%s\", \"summary\": \"%s\"}"
-                id
-                (Support.Diag.severity_name sev)
-                summary)
-            cat))
+    let rule (id, sev, summary) =
+      J.Obj
+        [
+          ("id", J.Str id);
+          ("severity", J.Str (Support.Diag.severity_name sev));
+          ("summary", J.Str summary);
+        ]
+    in
+    J.to_string (J.List (List.map rule cat)) ^ "\n"
   else
     String.concat ""
       (List.map
@@ -93,7 +93,7 @@ let dse_best (r : P.dse_resp) : string =
 (** `mhlsc client`: any reply as one JSON document (the response frame
     without the envelope id). *)
 let reply_json (r : P.reply) : string =
-  Support.Json.to_string
+  J.to_string
     (P.frame_to_json (P.Response { r_id = 0; r_reply = r }))
 
 (** `mhlsc serve --stats`-style human summary of a stats payload. *)

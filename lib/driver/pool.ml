@@ -117,7 +117,11 @@ let worker (p : t) =
       loop ()
     end
   in
-  loop ();
+  loop ()
+
+(** The worker has left [p]: once every worker has, {!shutdown}
+    returns. *)
+let detach (p : t) =
   Mutex.lock p.mutex;
   p.attached <- p.attached - 1;
   if p.attached = 0 then Condition.broadcast p.workers_gone;
@@ -153,14 +157,17 @@ let rec park () =
   decr available;
   Mutex.unlock park_mutex;
   worker p;
+  (* counted as available before leaving the pool, so a {!create}
+     right after the pool's {!shutdown} takes this domain instead of
+     spawning one *)
   Mutex.lock park_mutex;
-  if !live <= max_live then begin
-    incr available;
+  let stay = !live <= max_live in
+  if stay then incr available else decr live;
+  Mutex.unlock park_mutex;
+  detach p;
+  if stay then begin
+    Mutex.lock park_mutex;
     park ()
-  end
-  else begin
-    decr live;
-    Mutex.unlock park_mutex
   end
 
 (** [create ~jobs] starts a pool of [min jobs recommended]

@@ -2,19 +2,22 @@
     {!Support.Tracing} events, emitted as JSON (one object per job per
     pass) plus an aggregate summary table.
 
-    Trace schema, version {!schema_version} — one top-level object:
+    Trace schema, version {!schema_version} — one top-level object,
+    printed by {!Support.Json} on a single line:
     {v
     { "version": 1,
       "tool": "<tool version>",
       "records": [
         { "job": "...", "kernel": "...", "flow": "direct-ir",
           "stage": "adaptor", "pass": "typed-pointers",
-          "seconds": 0.000123, "instrs_before": 120,
+          "seconds": 0.000123456, "instrs_before": 120,
           "instrs_after": 118, "minor_words": 20480,
           "major_words": 1024, "cached": false }, ... ] }
     v}
-    {!validate} checks a trace against this schema structurally; the
-    golden schema test and CI both rely on it. *)
+    ["seconds"] is a float in shortest round-trip form; the word
+    counts are integers.  {!of_json} decodes a parsed trace back into
+    records and {!validate} checks text against the schema; the golden
+    schema test and CI both rely on it. *)
 
 type record = {
   tr_job : string;  (** job label the pass ran under *)
@@ -50,141 +53,91 @@ let of_event ~job ~kernel ~flow ~cached (e : Support.Tracing.event) : record =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission                                                      *)
+(* JSON codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Support.Json
 
-(** The record's fields, in schema order, as (key, rendered value). *)
-let record_fields (r : record) : (string * string) list =
+(** The record's fields, in schema order.  Word counts are whole
+    numbers, so they travel as integers. *)
+let record_fields (r : record) : (string * J.t) list =
   [
-    ("job", Printf.sprintf "\"%s\"" (json_escape r.tr_job));
-    ("kernel", Printf.sprintf "\"%s\"" (json_escape r.tr_kernel));
-    ("flow", Printf.sprintf "\"%s\"" (json_escape r.tr_flow));
-    ("stage", Printf.sprintf "\"%s\"" (json_escape r.tr_stage));
-    ("pass", Printf.sprintf "\"%s\"" (json_escape r.tr_pass));
-    ("seconds", Printf.sprintf "%.6f" r.tr_seconds);
-    ("instrs_before", string_of_int r.tr_instrs_before);
-    ("instrs_after", string_of_int r.tr_instrs_after);
-    ("minor_words", Printf.sprintf "%.0f" r.tr_minor_words);
-    ("major_words", Printf.sprintf "%.0f" r.tr_major_words);
-    ("cached", string_of_bool r.tr_cached);
+    ("job", J.Str r.tr_job);
+    ("kernel", J.Str r.tr_kernel);
+    ("flow", J.Str r.tr_flow);
+    ("stage", J.Str r.tr_stage);
+    ("pass", J.Str r.tr_pass);
+    ("seconds", J.Float r.tr_seconds);
+    ("instrs_before", J.Int r.tr_instrs_before);
+    ("instrs_after", J.Int r.tr_instrs_after);
+    ("minor_words", J.Int (int_of_float r.tr_minor_words));
+    ("major_words", J.Int (int_of_float r.tr_major_words));
+    ("cached", J.Bool r.tr_cached);
   ]
 
-let record_to_json (r : record) : string =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v)
-         (record_fields r))
-  ^ "}"
-
 let to_json ~(tool : string) (records : record list) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\": %d, \"tool\": \"%s\", \"records\": [\n"
-       schema_version (json_escape tool));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("  " ^ record_to_json r))
-    records;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  J.to_string
+    (J.Obj
+       [
+         ("version", J.Int schema_version);
+         ("tool", J.Str tool);
+         ( "records",
+           J.List (List.map (fun r -> J.Obj (record_fields r)) records) );
+       ])
+  ^ "\n"
 
 let write_file ~tool path records =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_json ~tool records))
 
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                  *)
-(* ------------------------------------------------------------------ *)
+let ( let* ) = Result.bind
 
-let required_keys =
-  [
-    "job"; "kernel"; "flow"; "stage"; "pass"; "seconds"; "instrs_before";
-    "instrs_after"; "minor_words"; "major_words"; "cached";
-  ]
+let record_of_json (j : J.t) : (record, string) result =
+  let* tr_job = J.get_str "job" j in
+  let* tr_kernel = J.get_str "kernel" j in
+  let* tr_flow = J.get_str "flow" j in
+  let* tr_stage = J.get_str "stage" j in
+  let* tr_pass = J.get_str "pass" j in
+  let* tr_seconds = J.get_float "seconds" j in
+  let* tr_instrs_before = J.get_int "instrs_before" j in
+  let* tr_instrs_after = J.get_int "instrs_after" j in
+  let* minor = J.get_int "minor_words" j in
+  let* major = J.get_int "major_words" j in
+  let* tr_cached = J.get_bool "cached" j in
+  let r =
+    {
+      tr_job; tr_kernel; tr_flow; tr_stage; tr_pass; tr_seconds;
+      tr_instrs_before; tr_instrs_after;
+      tr_minor_words = float_of_int minor;
+      tr_major_words = float_of_int major;
+      tr_cached;
+    }
+  in
+  (* the encoder's own keys, so whatever it writes decodes *)
+  let* () = J.only_keys (List.map fst (record_fields r)) j in
+  Ok r
 
-(** Split the text of a JSON array of flat objects into the objects'
-    texts (no nested objects in the schema, so brace counting is
-    exact; braces inside strings are skipped). *)
-let split_objects (s : string) : string list =
-  let objs = ref [] in
-  let depth = ref 0 and start = ref 0 and in_str = ref false in
-  String.iteri
-    (fun i c ->
-      if !in_str then begin
-        if c = '"' && (i = 0 || s.[i - 1] <> '\\') then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' ->
-            if !depth = 0 then start := i;
-            incr depth
-        | '}' ->
-            decr depth;
-            if !depth = 0 then
-              objs := String.sub s !start (i - !start + 1) :: !objs
-        | _ -> ())
-    s;
-  List.rev !objs
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-(** Structural schema check of a serialized trace: version marker,
-    records array, and every record carrying exactly the required
-    keys. *)
-let validate (json : string) : (unit, string) result =
-  if not (contains ~needle:(Printf.sprintf "\"version\": %d" schema_version) json)
-  then Error (Printf.sprintf "missing \"version\": %d marker" schema_version)
-  else if not (contains ~needle:"\"records\": [" json) then
-    Error "missing \"records\" array"
+(** Decode a parsed trace: the version must be {!schema_version}, the
+    tool a string, and the records a non-empty list of objects with
+    exactly the schema's keys, each of its type. *)
+let of_json (j : J.t) : (record list, string) result =
+  let* version = J.get_int "version" j in
+  let* () =
+    if version = schema_version then Ok ()
+    else Error (Printf.sprintf "unsupported trace version %d" version)
+  in
+  let* _tool = J.get_str "tool" j in
+  let* records = J.get_list "records" j in
+  if records = [] then Error "trace has no records"
   else
-    let body =
-      (* everything after the records marker; the header object brace
-         is before it, so the remaining objects are exactly the
-         records *)
-      let marker = "\"records\": [" in
-      let rec find i =
-        if i + String.length marker > String.length json then -1
-        else if String.sub json i (String.length marker) = marker then i
-        else find (i + 1)
-      in
-      let i = find 0 in
-      String.sub json i (String.length json - i)
-    in
-    let objs = split_objects body in
-    if objs = [] then Error "trace has no records"
-    else
-      let bad =
-        List.concat_map
-          (fun o ->
-            List.filter_map
-              (fun k ->
-                if contains ~needle:(Printf.sprintf "\"%s\":" k) o then None
-                else Some (Printf.sprintf "record %s lacks key \"%s\"" o k))
-              required_keys)
-          objs
-      in
-      match bad with [] -> Ok () | e :: _ -> Error e
+    J.decode_list
+      (fun r ->
+        Result.map_error (fun e -> "trace record: " ^ e) (record_of_json r))
+      records
+
+let validate (json : string) : (unit, string) result =
+  let* j = J.parse json in
+  Result.map ignore (of_json j)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate summary                                                  *)

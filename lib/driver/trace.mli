@@ -1,6 +1,6 @@
 (** Batch-level pass traces: per-job, per-pass records assembled from
-    {!Support.Tracing} events, emitted as versioned JSON plus an
-    aggregate summary table. *)
+    {!Support.Tracing} events, emitted as versioned JSON through
+    {!Support.Json} plus an aggregate summary table. *)
 
 type record = {
   tr_job : string;  (** job label the pass ran under *)
@@ -29,13 +29,19 @@ val of_event :
   record
 
 (** The record's JSON fields, in canonical schema order. *)
-val record_fields : record -> (string * string) list
+val record_fields : record -> (string * Support.Json.t) list
 
+(** The whole trace on one line, newline-terminated. *)
 val to_json : tool:string -> record list -> string
+
 val write_file : tool:string -> string -> record list -> unit
 
-(** Structural schema check of a serialized trace: version marker,
-    records array, required keys on every record. *)
+(** Decode a parsed trace: version {!schema_version}, a string
+    ["tool"], and a non-empty ["records"] list whose objects carry
+    exactly the record keys, each of its type. *)
+val of_json : Support.Json.t -> (record list, string) result
+
+(** [Support.Json.parse], then {!of_json}. *)
 val validate : string -> (unit, string) result
 
 (** Per-(stage, pass) aggregate over the records that ran in a batch:

@@ -1,6 +1,7 @@
-(** Versioned [dse.json] frontier export + structural validator.
+(** Versioned [dse.json] frontier export + schema validator.
 
-    Schema, version {!schema_version} — one top-level object:
+    Schema, version {!schema_version} — one top-level object, printed
+    by {!Support.Json} on a single line:
     {v
     { "version": 1,
       "tool": "<tool version>",
@@ -22,103 +23,76 @@
 
     Frontier points estimated by the dynamic backend additionally
     carry ["sched": "dynamic"] (after ["unroll"]); statically-scheduled
-    points keep the historical shape, so a static-only export is
-    byte-identical to pre-backend-axis versions of the tool.
+    points keep the historical keys.
 
     Everything in the file is deterministic for a given cache state —
     wall-clock never appears, so a [--jobs 4] export is byte-identical
-    to a [--jobs 1] one.  {!validate} checks a serialized export
-    structurally (same style as the trace-schema validator); the CLI
+    to a [--jobs 1] one.  {!validate} parses an export and decodes it
+    against the schema (as the trace validator does); the CLI
     validates what it just wrote, and CI asserts on that. *)
 
 module E = Hls_backend.Estimate
 module K = Workloads.Kernels
+module J = Support.Json
 
 let schema_version = 1
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let point_to_json (p : Search.point) : string =
+let point_to_json (p : Search.point) : J.t =
   let c = Space.canonical p.Search.pt_config in
   let r = p.Search.pt_report in
-  let partitions =
-    List.map
-      (fun (arr, _kind, factor, dim) ->
-        Printf.sprintf
-          "{\"array\": \"%s\", \"dim\": %d, \"factor\": %d}"
-          (json_escape arr) dim factor)
-      p.Search.pt_directives.K.partitions
+  let partition (arr, _kind, factor, dim) =
+    J.Obj [ ("array", J.Str arr); ("dim", J.Int dim); ("factor", J.Int factor) ]
   in
-  String.concat ""
-    [
-      "{";
-      Printf.sprintf "\"label\": \"%s\", " (json_escape p.Search.pt_label);
-      Printf.sprintf "\"strategy\": \"%s\", "
-        (match c.Space.c_strategy with
-        | K.Inner -> "inner"
-        | K.Middle -> "middle");
-      Printf.sprintf "\"ii\": %d, " c.Space.c_ii;
-      Printf.sprintf "\"unroll\": %d, " c.Space.c_unroll;
-      (* emitted only off the default, so static exports keep their
-         historical bytes *)
-      (match c.Space.c_sched with
-      | Hls_backend.Backend.Static -> ""
-      | Hls_backend.Backend.Dynamic -> "\"sched\": \"dynamic\", ");
-      Printf.sprintf "\"partitions\": [%s], "
-        (String.concat ", " partitions);
-      Printf.sprintf
-        "\"latency\": %d, \"bram\": %d, \"dsp\": %d, \"ff\": %d, \"lut\": %d"
-        r.E.latency r.E.resources.E.bram r.E.resources.E.dsp
-        r.E.resources.E.ff r.E.resources.E.lut;
-      "}";
-    ]
+  J.Obj
+    ([
+       ("label", J.Str p.Search.pt_label);
+       ( "strategy",
+         J.Str
+           (match c.Space.c_strategy with
+           | K.Inner -> "inner"
+           | K.Middle -> "middle") );
+       ("ii", J.Int c.Space.c_ii);
+       ("unroll", J.Int c.Space.c_unroll);
+     ]
+    (* only off the default: static points carry no "sched" *)
+    @ (match c.Space.c_sched with
+      | Hls_backend.Backend.Static -> []
+      | Hls_backend.Backend.Dynamic -> [ ("sched", J.Str "dynamic") ])
+    @ [
+        ( "partitions",
+          J.List (List.map partition p.Search.pt_directives.K.partitions) );
+        ("latency", J.Int r.E.latency);
+        ("bram", J.Int r.E.resources.E.bram);
+        ("dsp", J.Int r.E.resources.E.dsp);
+        ("ff", J.Int r.E.resources.E.ff);
+        ("lut", J.Int r.E.resources.E.lut);
+      ])
 
-let round_to_json (rs : Search.round_stat) : string =
-  Printf.sprintf "{\"round\": %d, \"candidates\": %d, \"frontier\": %d}"
-    rs.Search.rs_round rs.Search.rs_candidates rs.Search.rs_frontier
+let round_to_json (rs : Search.round_stat) : J.t =
+  J.Obj
+    [
+      ("round", J.Int rs.Search.rs_round);
+      ("candidates", J.Int rs.Search.rs_candidates);
+      ("frontier", J.Int rs.Search.rs_frontier);
+    ]
 
 (** Serialize an outcome.  [tool] is the driver's version string. *)
 let to_json ~(tool : string) (o : Search.outcome) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\": %d, \"tool\": \"%s\",\n" schema_version
-       (json_escape tool));
-  Buffer.add_string b
-    (Printf.sprintf
-       " \"kernel\": \"%s\", \"space_size\": %d, \"evaluated\": %d, \
-        \"full_evals\": %d, \"cache_hits\": %d, \"stopped\": \"%s\",\n"
-       (json_escape o.Search.o_kernel)
-       (Space.size o.Search.o_space)
-       o.Search.o_evaluated o.Search.o_full_evals o.Search.o_cache_hits
-       (Search.stop_reason_name o.Search.o_stopped));
-  Buffer.add_string b " \"rounds\": [";
-  List.iteri
-    (fun i rs ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (round_to_json rs))
-    o.Search.o_rounds;
-  Buffer.add_string b "],\n \"frontier\": [\n";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("  " ^ point_to_json p))
-    o.Search.o_frontier;
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  J.to_string
+    (J.Obj
+       [
+         ("version", J.Int schema_version);
+         ("tool", J.Str tool);
+         ("kernel", J.Str o.Search.o_kernel);
+         ("space_size", J.Int (Space.size o.Search.o_space));
+         ("evaluated", J.Int o.Search.o_evaluated);
+         ("full_evals", J.Int o.Search.o_full_evals);
+         ("cache_hits", J.Int o.Search.o_cache_hits);
+         ("stopped", J.Str (Search.stop_reason_name o.Search.o_stopped));
+         ("rounds", J.List (List.map round_to_json o.Search.o_rounds));
+         ("frontier", J.List (List.map point_to_json o.Search.o_frontier));
+       ])
+  ^ "\n"
 
 let write_file ~tool path (o : Search.outcome) : unit =
   Out_channel.with_open_text path (fun oc ->
@@ -128,89 +102,61 @@ let write_file ~tool path (o : Search.outcome) : unit =
 (* Schema validation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+let ( let* ) = Result.bind
 
-let header_keys =
-  [ "tool"; "kernel"; "space_size"; "evaluated"; "full_evals"; "cache_hits";
-    "stopped"; "rounds"; "frontier" ]
+(* field checkers: [check key obj] reads the key at its schema type *)
+let str k j = Result.map ignore (J.get_str k j)
+let opt_str k j = Result.map ignore (J.get_opt_str k j)
+let int k j = Result.map ignore (J.get_int k j)
 
-let point_keys =
-  [ "label"; "strategy"; "ii"; "unroll"; "partitions"; "latency"; "bram";
-    "dsp"; "ff"; "lut" ]
+(** [Error] unless object [j] has no key outside [fields] and every
+    field passes its checker. *)
+let check_object fields (j : J.t) : (unit, string) result =
+  let* () = J.only_keys (List.map fst fields) j in
+  List.fold_left
+    (fun acc (k, check) ->
+      let* () = acc in
+      check k j)
+    (Ok ()) fields
 
-(** Split the text of the frontier array into the point objects' texts
-    (depth-1 objects; nested partition objects are depth 2). *)
-let split_points (s : string) : string list =
-  let objs = ref [] in
-  let depth = ref 0 and start = ref 0 and in_str = ref false in
-  String.iteri
-    (fun i c ->
-      if !in_str then begin
-        if c = '"' && (i = 0 || s.[i - 1] <> '\\') then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' ->
-            if !depth = 0 then start := i;
-            incr depth
-        | '}' ->
-            decr depth;
-            if !depth = 0 then
-              objs := String.sub s !start (i - !start + 1) :: !objs
-        | _ -> ())
-    s;
-  List.rev !objs
+(** Field [k] is a list of objects, each passing [check_object fields]. *)
+let objects fields k j =
+  let* xs = J.get_list k j in
+  Result.map_error (fun e -> k ^ ": " ^ e)
+    (J.decode_list (check_object fields) xs |> Result.map ignore)
 
-(** Structural schema check of a serialized export: version marker,
-    required header keys, and every frontier point carrying the
-    required keys.  An empty frontier is an error — the search always
+let partition_fields = [ ("array", str); ("dim", int); ("factor", int) ]
+let round_fields = [ ("round", int); ("candidates", int); ("frontier", int) ]
+
+let point_fields =
+  [
+    ("label", str); ("strategy", str); ("ii", int); ("unroll", int);
+    ("sched", opt_str); ("partitions", objects partition_fields);
+    ("latency", int); ("bram", int); ("dsp", int); ("ff", int); ("lut", int);
+  ]
+
+let header_fields =
+  [
+    ("version", int); ("tool", str); ("kernel", str); ("space_size", int);
+    ("evaluated", int); ("full_evals", int); ("cache_hits", int);
+    ("stopped", str); ("rounds", objects round_fields);
+    ("frontier", objects point_fields);
+  ]
+
+(** Schema check of a serialized export: it must parse, carry version
+    {!schema_version}, and have exactly the header and point keys, each
+    of its type.  An empty frontier is an error — the search always
     finds at least the baseline unless every config is infeasible, and
     then the export should not be trusted. *)
 let validate (json : string) : (unit, string) result =
-  if
-    not
-      (contains ~needle:(Printf.sprintf "\"version\": %d" schema_version) json)
-  then Error (Printf.sprintf "missing \"version\": %d marker" schema_version)
+  let* j = J.parse json in
+  let* version = J.get_int "version" j in
+  if version <> schema_version then
+    Error (Printf.sprintf "unsupported dse.json version %d" version)
   else
-    match
-      List.find_opt
-        (fun k -> not (contains ~needle:(Printf.sprintf "\"%s\":" k) json))
-        header_keys
-    with
-    | Some k -> Error (Printf.sprintf "missing header key \"%s\"" k)
-    | None ->
-        let marker = "\"frontier\": [" in
-        let mlen = String.length marker in
-        let rec find i =
-          if i + mlen > String.length json then -1
-          else if String.sub json i mlen = marker then i
-          else find (i + 1)
-        in
-        let i = find 0 in
-        if i < 0 then Error "missing \"frontier\" array"
-        else
-          let body = String.sub json i (String.length json - i) in
-          let pts = split_points body in
-          if pts = [] then Error "frontier is empty"
-          else
-            let bad =
-              List.concat_map
-                (fun o ->
-                  List.filter_map
-                    (fun k ->
-                      if contains ~needle:(Printf.sprintf "\"%s\":" k) o then
-                        None
-                      else
-                        Some
-                          (Printf.sprintf "frontier point lacks key \"%s\"" k))
-                    point_keys)
-                pts
-            in
-            (match bad with [] -> Ok () | e :: _ -> Error e)
+    let* () = check_object header_fields j in
+    if J.list_member "frontier" j = Some [] then Error "frontier is empty"
+    else Ok ()
 
 let validate_file (path : string) : (unit, string) result =
   match In_channel.with_open_text path In_channel.input_all with

@@ -1,6 +1,7 @@
 (** Race checker over {!Effects} footprints.  See the interface. *)
 
 module Sym = Support.Interner
+module J = Support.Json
 
 type conflict =
   | Global_write_write of string * string * string
@@ -25,42 +26,32 @@ let verdict_to_string = function
         (String.concat "\n"
            (List.map (fun c -> "  " ^ conflict_to_string c) cs))
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let conflict_to_json c =
+  let str s = J.Str s in
+  let pair kind fa fb g =
+    [ ("kind", str kind); ("a", str fa); ("b", str fb); ("global", str g) ]
+  in
+  J.Obj
+    (match c with
+    | Global_write_write (fa, fb, g) -> pair "write-write" fa fb g
+    | Global_read_write (fa, fb, g) -> pair "read-write" fa fb g
+    | Unknown_effects (f, reasons) ->
+        [
+          ("kind", str "unknown-effects");
+          ("function", str f);
+          ("reasons", J.List (List.map str reasons));
+        ])
 
-let jstr s = "\"" ^ json_escape s ^ "\""
-
-let conflict_to_json = function
-  | Global_write_write (fa, fb, g) ->
-      Printf.sprintf
-        "{\"kind\": \"write-write\", \"a\": %s, \"b\": %s, \"global\": %s}"
-        (jstr fa) (jstr fb) (jstr g)
-  | Global_read_write (fa, fb, g) ->
-      Printf.sprintf
-        "{\"kind\": \"read-write\", \"a\": %s, \"b\": %s, \"global\": %s}"
-        (jstr fa) (jstr fb) (jstr g)
-  | Unknown_effects (f, reasons) ->
-      Printf.sprintf
-        "{\"kind\": \"unknown-effects\", \"function\": %s, \"reasons\": [%s]}"
-        (jstr f)
-        (String.concat ", " (List.map jstr reasons))
-
-let to_json = function
-  | Safe -> "{\"verdict\": \"safe\"}"
-  | Unsafe cs ->
-      Printf.sprintf "{\"verdict\": \"unsafe\", \"conflicts\": [%s]}"
-        (String.concat ", " (List.map conflict_to_json cs))
+let to_json v =
+  J.to_string
+    (J.Obj
+       (match v with
+       | Safe -> [ ("verdict", J.Str "safe") ]
+       | Unsafe cs ->
+           [
+             ("verdict", J.Str "unsafe");
+             ("conflicts", J.List (List.map conflict_to_json cs));
+           ]))
 
 let check ?effects (m : Lmodule.t) : verdict =
   match m.Lmodule.funcs with

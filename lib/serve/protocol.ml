@@ -247,14 +247,10 @@ type frame =
 (* Encoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let opt_int = function None -> Json.Null | Some i -> Json.Int i
-let opt_str = function None -> Json.Null | Some s -> Json.Str s
-
-let opt_str_list = function
-  | None -> Json.Null
-  | Some xs -> Json.List (List.map (fun s -> Json.Str s) xs)
-
 let str_list xs = Json.List (List.map (fun s -> Json.Str s) xs)
+let opt_int = Json.option (fun i -> Json.Int i)
+let opt_str = Json.option (fun s -> Json.Str s)
+let opt_str_list = Json.option str_list
 
 let directives_fields (d : directives) : (string * Json.t) list =
   [
@@ -331,17 +327,6 @@ let request_fields : request -> (string * Json.t) list = function
 let request_to_json (r : request) : Json.t =
   Json.Obj (("kind", Json.Str (request_kind r)) :: request_fields r)
 
-let diag_to_json (d : Diag.t) : Json.t =
-  Json.Obj
-    [
-      ("rule", Json.Str d.Diag.rule);
-      ("severity", Json.Str (Diag.severity_name d.Diag.severity));
-      ("function", opt_str d.Diag.func);
-      ("location", opt_str d.Diag.location);
-      ("message", Json.Str d.Diag.message);
-      ("hint", opt_str d.Diag.hint);
-    ]
-
 let payload_fields : payload -> (string * Json.t) list = function
   | R_compile r ->
       [
@@ -358,7 +343,7 @@ let payload_fields : payload -> (string * Json.t) list = function
         ("report", Json.Str r.cr_report);
       ]
   | R_lint r ->
-      [ ("diagnostics", Json.List (List.map diag_to_json r.lr_diags)) ]
+      [ ("diagnostics", Json.List (List.map Diag.json r.lr_diags)) ]
   | R_opt r ->
       [
         ("ir", Json.Str r.or_ir);
@@ -467,7 +452,7 @@ let frame_to_json : frame -> Json.t = function
             (base
             @ [
                 ("status", Json.Str "error");
-                ("diagnostics", Json.List (List.map diag_to_json ds));
+                ("diagnostics", Json.List (List.map Diag.json ds));
               ])
       | Busy depth ->
           Json.Obj
@@ -491,62 +476,22 @@ let frame_to_json : frame -> Json.t = function
 (* Decoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let get_str name j =
-  match Json.str_member name j with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field '%s'" name)
+(** Field [name] through [conv]; absent or [null] is [default]. *)
+let get_or what conv ~default name j =
+  Result.map (Option.value ~default) (Json.opt_field what conv name j)
 
-let get_opt_str name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Str s) -> Ok (Some s)
-  | Some _ -> Error (Printf.sprintf "field '%s' must be a string" name)
+let to_str_list v =
+  Option.bind (Json.to_list v) (fun xs ->
+      let ss = List.filter_map Json.to_str xs in
+      if List.length ss = List.length xs then Some ss else None)
 
-let get_opt_int name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Int i) -> Ok (Some i)
-  | Some _ -> Error (Printf.sprintf "field '%s' must be an integer" name)
-
-let get_int ~default name j =
-  match get_opt_int name j with
-  | Ok None -> Ok default
-  | Ok (Some i) -> Ok i
-  | Error e -> Error e
-
-let get_bool ~default name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field '%s' must be a boolean" name)
-
-let get_float ~default name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok default
-  | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "field '%s' must be a number" name))
-
-let get_str_list ~default name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.List xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Str s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "field '%s' must be a string list" name)
-      in
-      go [] xs
-  | Some _ -> Error (Printf.sprintf "field '%s' must be a string list" name)
-
-let get_opt_str_list name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some _ -> (
-      match get_str_list ~default:[] name j with
-      | Ok xs -> Ok (Some xs)
-      | Error e -> Error e)
+let get_opt_int = Json.opt_field "an integer" Json.to_int
+let get_int = get_or "an integer" Json.to_int
+let get_bool = get_or "a boolean" Json.to_bool
+let get_float = get_or "a number" Json.to_float
+let get_opt_str_list = Json.opt_field "a string list" to_str_list
+let get_str_list = get_or "a string list" to_str_list
+let get_opt_list = get_or "a list" Json.to_list ~default:[]
 
 let ( let* ) = Result.bind
 
@@ -561,19 +506,10 @@ let envelope_keys = [ "v"; "frame"; "id"; "stream"; "kind" ]
 let only_known_keys ~what ?(envelope = []) (known : (string * Json.t) list)
     (j : Json.t) : (unit, string) result =
   let known = List.map fst known in
-  match j with
-  | Json.Obj fields -> (
-      match
-        List.find_opt
-          (fun (k, _) -> not (List.mem k envelope || List.mem k known))
-          fields
-      with
-      | None -> Ok ()
-      | Some (k, _) ->
-          Error
-            (Printf.sprintf "unknown key '%s' in %s (known: %s)" k what
-               (String.concat ", " known)))
-  | _ -> Ok ()
+  Result.map_error
+    (fun e ->
+      Printf.sprintf "%s in %s (known: %s)" e what (String.concat ", " known))
+    (Json.only_keys (envelope @ known) j)
 
 let directives_of_json (j : Json.t) : (directives, string) result =
   match j with
@@ -582,27 +518,21 @@ let directives_of_json (j : Json.t) : (directives, string) result =
       let* d_ii = get_opt_int "ii" j in
       let* d_unroll = get_opt_int "unroll" j in
       let* d_strategy =
-        match get_opt_str "strategy" j with
+        match Json.get_opt_str "strategy" j with
         | Ok None -> Ok "inner"
         | Ok (Some s) -> Ok s
         | Error e -> Error e
       in
       let* d_partitions =
-        match Json.member "partitions" j with
-        | None | Some Json.Null -> Ok []
-        | Some (Json.List xs) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | Json.List
-                  [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ]
-                :: rest ->
-                  go ((a, kind, f, dim) :: acc) rest
-              | _ ->
-                  Error
-                    "partitions entries must be [array, kind, factor, dim]"
-            in
-            go [] xs
-        | Some _ -> Error "field 'partitions' must be a list"
+        let* xs = get_opt_list "partitions" j in
+        Json.decode_list
+          (function
+            | Json.List [ Json.Str a; Json.Str kind; Json.Int f; Json.Int dim ]
+              ->
+                Ok (a, kind, f, dim)
+            | _ ->
+                Error "partitions entries must be [array, kind, factor, dim]")
+          xs
       in
       let d = { d_ii; d_unroll; d_strategy; d_partitions } in
       let* () = only_known_keys ~what:"directives" (directives_fields d) j in
@@ -616,19 +546,19 @@ let directives_member (j : Json.t) : (directives, string) result =
 
 (** Decode a request object's fields, ignoring unknown keys. *)
 let request_fields_of_json (j : Json.t) : (request, string) result =
-  let* kind = get_str "kind" j in
+  let* kind = Json.get_str "kind" j in
   match kind with
   | "compile" ->
-      let* c_kernel = get_str "kernel" j in
+      let* c_kernel = Json.get_str "kernel" j in
       let* c_flow =
-        match get_opt_str "flow" j with
+        match Json.get_opt_str "flow" j with
         | Ok None -> Ok "direct"
         | Ok (Some f) -> Ok f
         | Error e -> Error e
       in
       let* c_sched =
         (* lenient default keeps pre-1.6 schema-v1 encodings valid *)
-        match get_opt_str "sched" j with
+        match Json.get_opt_str "sched" j with
         | Ok None -> Ok "static"
         | Ok (Some s) -> Ok s
         | Error e -> Error e
@@ -642,12 +572,12 @@ let request_fields_of_json (j : Json.t) : (request, string) result =
            { c_kernel; c_flow; c_sched; c_directives; c_clock_ns; c_passes;
              c_disable })
   | "lint" ->
-      let* l_kernel = get_opt_str "kernel" j in
-      let* l_source = get_opt_str "source" j in
+      let* l_kernel = Json.get_opt_str "kernel" j in
+      let* l_source = Json.get_opt_str "source" j in
       let* l_directives = directives_member j in
       let* l_rules = get_opt_str_list "rules" j in
       let* l_werror = get_bool ~default:false "werror" j in
-      let* l_top = get_opt_str "top" j in
+      let* l_top = Json.get_opt_str "top" j in
       let* l_passes = get_opt_str_list "passes" j in
       let* l_disable = get_str_list ~default:[] "disable" j in
       Ok
@@ -655,7 +585,7 @@ let request_fields_of_json (j : Json.t) : (request, string) result =
            { l_kernel; l_source; l_directives; l_rules; l_werror; l_top;
              l_passes; l_disable })
   | "opt" ->
-      let* op_source = get_opt_str "source" j in
+      let* op_source = Json.get_opt_str "source" j in
       let* op_synth = get_opt_int "synth" j in
       let* op_passes = get_opt_str_list "passes" j in
       let* op_parallel = get_bool ~default:false "parallel" j in
@@ -667,9 +597,9 @@ let request_fields_of_json (j : Json.t) : (request, string) result =
            { op_source; op_synth; op_passes; op_parallel; op_jobs;
              op_parsafe; op_json })
   | "dse" ->
-      let* ds_kernel = get_str "kernel" j in
+      let* ds_kernel = Json.get_str "kernel" j in
       let* ds_sched =
-        match get_opt_str "sched" j with
+        match Json.get_opt_str "sched" j with
         | Ok None -> Ok "static"
         | Ok (Some s) -> Ok s
         | Error e -> Error e
@@ -713,41 +643,17 @@ let request_of_json (j : Json.t) : (request, string) result =
   in
   Ok r
 
-let severity_of_name = function
-  | "note" -> Ok Diag.Note
-  | "warning" -> Ok Diag.Warning
-  | "error" -> Ok Diag.Error
-  | s -> Error (Printf.sprintf "unknown severity '%s'" s)
-
-let diag_of_json (j : Json.t) : (Diag.t, string) result =
-  let* rule = get_str "rule" j in
-  let* sev_name = get_str "severity" j in
-  let* severity = severity_of_name sev_name in
-  let* func = get_opt_str "function" j in
-  let* location = get_opt_str "location" j in
-  let* message = get_str "message" j in
-  let* hint = get_opt_str "hint" j in
-  Ok { Diag.rule; severity; func; location; message; hint }
-
 let diags_of_json (j : Json.t) name : (Diag.t list, string) result =
   match Json.member name j with
-  | Some (Json.List xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest -> (
-            match diag_of_json x with
-            | Ok d -> go (d :: acc) rest
-            | Error e -> Error e)
-      in
-      go [] xs
+  | Some (Json.List xs) -> Json.decode_list Diag.of_json xs
   | _ -> Error (Printf.sprintf "missing diagnostics list '%s'" name)
 
 let payload_of_json ~(kind : string) (j : Json.t) :
     (payload, string) result =
   match kind with
   | "compile" ->
-      let* cr_kernel = get_str "kernel" j in
-      let* cr_flow = get_str "flow" j in
+      let* cr_kernel = Json.get_str "kernel" j in
+      let* cr_flow = Json.get_str "flow" j in
       let* cr_latency = get_int ~default:0 "latency" j in
       let* cr_ii = get_int ~default:0 "ii" j in
       let* cr_bram = get_int ~default:0 "bram" j in
@@ -755,8 +661,8 @@ let payload_of_json ~(kind : string) (j : Json.t) :
       let* cr_lut = get_int ~default:0 "lut" j in
       let* cr_seconds = get_float ~default:0.0 "seconds" j in
       let* cr_from_cache = get_bool ~default:false "from_cache" j in
-      let* cr_adaptor = get_opt_str "adaptor" j in
-      let* cr_report = get_str "report" j in
+      let* cr_adaptor = Json.get_opt_str "adaptor" j in
+      let* cr_report = Json.get_str "report" j in
       Ok
         (R_compile
            { cr_kernel; cr_flow; cr_latency; cr_ii; cr_bram; cr_dsp; cr_lut;
@@ -765,43 +671,42 @@ let payload_of_json ~(kind : string) (j : Json.t) :
       let* lr_diags = diags_of_json j "diagnostics" in
       Ok (R_lint { lr_diags })
   | "opt" ->
-      let* or_ir = get_str "ir" j in
+      let* or_ir = Json.get_str "ir" j in
       let* or_passes = get_int ~default:0 "passes" j in
       let* or_seconds = get_float ~default:0.0 "seconds" j in
-      let* or_par_status = get_opt_str "par_status" j in
-      let* or_verdict = get_opt_str "verdict" j in
+      let* or_par_status = Json.get_opt_str "par_status" j in
+      let* or_verdict = Json.get_opt_str "verdict" j in
       let* or_safe = get_bool ~default:true "safe" j in
       Ok
         (R_opt
            { or_ir; or_passes; or_seconds; or_par_status; or_verdict; or_safe })
   | "dse" ->
-      let* dr_report = get_str "report" j in
+      let* dr_report = Json.get_str "report" j in
       let* dr_best =
         match Json.member "best" j with
         | None | Some Json.Null -> Ok None
         | Some b ->
-            let* label = get_str "label" b in
+            let* label = Json.get_str "label" b in
             let* latency = get_int ~default:0 "latency" b in
             Ok (Some (label, latency))
       in
-      let* dr_json = get_str "dse_json" j in
+      let* dr_json = Json.get_str "dse_json" j in
       Ok (R_dse { dr_report; dr_best; dr_json })
   | "fuzz" ->
-      let* fr_report = get_str "report" j in
+      let* fr_report = Json.get_str "report" j in
       let* fr_failures = get_int ~default:0 "failures" j in
       Ok (R_fuzz { fr_report; fr_failures })
-  | "list" -> (
-      match Json.member "kernels" j with
-      | Some (Json.List xs) ->
-          let rec go acc = function
-            | [] -> Ok (R_list (List.rev acc))
-            | x :: rest ->
-                let* k_name = get_str "name" x in
-                let* k_description = get_str "description" x in
-                go ({ k_name; k_description } :: acc) rest
-          in
-          go [] xs
-      | _ -> Error "missing 'kernels' list")
+  | "list" ->
+      let* xs = Json.get_list "kernels" j in
+      let* ks =
+        Json.decode_list
+          (fun x ->
+            let* k_name = Json.get_str "name" x in
+            let* k_description = Json.get_str "description" x in
+            Ok { k_name; k_description })
+          xs
+      in
+      Ok (R_list ks)
   | "stats" ->
       let* st_served = get_int ~default:0 "served" j in
       let* st_evaluated = get_int ~default:0 "evaluated" j in
@@ -816,36 +721,26 @@ let payload_of_json ~(kind : string) (j : Json.t) :
          absent means zero, keeping old daemons readable. *)
       let* st_inflight = get_int ~default:0 "inflight" j in
       let* st_running =
-        match Json.member "running" j with
-        | None | Some Json.Null -> Ok []
-        | Some (Json.List xs) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | x :: rest ->
-                  let* kind = get_str "kind" x in
-                  let* n = get_int ~default:0 "n" x in
-                  go ((kind, n) :: acc) rest
-            in
-            go [] xs
-        | Some _ -> Error "field 'running' must be a list"
+        let* xs = get_opt_list "running" j in
+        Json.decode_list
+          (fun x ->
+            let* kind = Json.get_str "kind" x in
+            let* n = get_int ~default:0 "n" x in
+            Ok (kind, n))
+          xs
       in
       let* st_cancelled = get_int ~default:0 "cancelled" j in
       let* st_shed = get_int ~default:0 "shed" j in
       let* st_latency =
-        match Json.member "latency" j with
-        | None | Some Json.Null -> Ok []
-        | Some (Json.List xs) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | x :: rest ->
-                  let* ls_kind = get_str "kind" x in
-                  let* ls_count = get_int ~default:0 "count" x in
-                  let* ls_p50_ms = get_float ~default:0.0 "p50_ms" x in
-                  let* ls_p99_ms = get_float ~default:0.0 "p99_ms" x in
-                  go ({ ls_kind; ls_count; ls_p50_ms; ls_p99_ms } :: acc) rest
-            in
-            go [] xs
-        | Some _ -> Error "field 'latency' must be a list"
+        let* xs = get_opt_list "latency" j in
+        Json.decode_list
+          (fun x ->
+            let* ls_kind = Json.get_str "kind" x in
+            let* ls_count = get_int ~default:0 "count" x in
+            let* ls_p50_ms = get_float ~default:0.0 "p50_ms" x in
+            let* ls_p99_ms = get_float ~default:0.0 "p99_ms" x in
+            Ok { ls_kind; ls_count; ls_p50_ms; ls_p99_ms })
+          xs
       in
       Ok
         (R_stats
@@ -861,7 +756,7 @@ let frame_of_json (j : Json.t) : (frame, string) result =
   if v <> version then
     Error (Printf.sprintf "unsupported schema version %d (want %d)" v version)
   else
-    let* shape = get_str "frame" j in
+    let* shape = Json.get_str "frame" j in
     match shape with
     | "request" ->
         let* q_id = get_int ~default:0 "id" j in
@@ -870,10 +765,10 @@ let frame_of_json (j : Json.t) : (frame, string) result =
         Ok (Request { q_id; q_stream; q_req })
     | "response" -> (
         let* r_id = get_int ~default:0 "id" j in
-        let* status = get_str "status" j in
+        let* status = Json.get_str "status" j in
         match status with
         | "ok" ->
-            let* kind = get_str "kind" j in
+            let* kind = Json.get_str "kind" j in
             let* body =
               match Json.member "payload" j with
               | Some b -> Ok b
@@ -890,8 +785,8 @@ let frame_of_json (j : Json.t) : (frame, string) result =
         | s -> Error (Printf.sprintf "unknown response status '%s'" s))
     | "event" ->
         let* e_id = get_int ~default:0 "id" j in
-        let* e_stage = get_str "stage" j in
-        let* e_pass = get_str "pass" j in
+        let* e_stage = Json.get_str "stage" j in
+        let* e_pass = Json.get_str "pass" j in
         let* e_seconds = get_float ~default:0.0 "seconds" j in
         let* e_before = get_int ~default:0 "before" j in
         let* e_after = get_int ~default:0 "after" j in

@@ -5,7 +5,7 @@
     wrong for {e analysis} output — a lint pass or compatibility check
     should report everything it finds in one run.  This module carries
     such findings: each diagnostic has a stable rule ID ([HLS001], ...),
-    a severity, a location, and renders to text or JSON.  A batch of
+    a severity, a location, and renders to text or {!Json}.  A batch of
     diagnostics can be promoted ([-Werror]-style), summarized, and
     turned into a process exit code. *)
 
@@ -137,50 +137,51 @@ let render (ds : t list) : string =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering                                                     *)
+(* JSON codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape (s : string) =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(** One diagnostic as a JSON object, keys in the order printed. *)
+let json (d : t) : Json.t =
+  let opt_str = Json.option (fun s -> Json.Str s) in
+  Json.Obj
+    [
+      ("rule", Json.Str d.rule);
+      ("severity", Json.Str (severity_name d.severity));
+      ("function", opt_str d.func);
+      ("location", opt_str d.location);
+      ("message", Json.Str d.message);
+      ("hint", opt_str d.hint);
+    ]
 
-let json_field k v = Printf.sprintf "\"%s\": %s" k v
-let json_string s = "\"" ^ json_escape s ^ "\""
-let json_opt = function None -> "null" | Some s -> json_string s
+let severity_of_name = function
+  | "note" -> Ok Note
+  | "warning" -> Ok Warning
+  | "error" -> Ok Error
+  | s -> Result.Error (Printf.sprintf "unknown severity '%s'" s)
 
-let diag_to_json (d : t) =
-  "{"
-  ^ String.concat ", "
-      [
-        json_field "rule" (json_string d.rule);
-        json_field "severity" (json_string (severity_name d.severity));
-        json_field "function" (json_opt d.func);
-        json_field "location" (json_opt d.location);
-        json_field "message" (json_string d.message);
-        json_field "hint" (json_opt d.hint);
-      ]
-  ^ "}"
+(** Inverse of {!json}. *)
+let of_json (j : Json.t) : (t, string) result =
+  let ( let* ) = Result.bind in
+  let* rule = Json.get_str "rule" j in
+  let* severity = Result.bind (Json.get_str "severity" j) severity_of_name in
+  let* func = Json.get_opt_str "function" j in
+  let* location = Json.get_opt_str "location" j in
+  let* message = Json.get_str "message" j in
+  let* hint = Json.get_opt_str "hint" j in
+  Ok { rule; severity; func; location; message; hint }
 
 (** Whole batch as one JSON object:
     [{"diagnostics": [...], "errors": n, "warnings": n, "notes": n}]. *)
 let to_json (ds : t list) : string =
   let ds = sort ds in
-  Printf.sprintf
-    "{\"diagnostics\": [%s], \"errors\": %d, \"warnings\": %d, \"notes\": %d}"
-    (String.concat ", " (List.map diag_to_json ds))
-    (errors ds) (warnings ds) (count Note ds)
+  Json.to_string
+    (Json.Obj
+       [
+         ("diagnostics", Json.List (List.map json ds));
+         ("errors", Json.Int (errors ds));
+         ("warnings", Json.Int (warnings ds));
+         ("notes", Json.Int (count Note ds));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Interop with the fail-fast layer                                   *)

@@ -1,13 +1,14 @@
-(** Minimal JSON: a value type, a deterministic printer and a
-    recursive-descent parser.
+(** Minimal JSON: a value type, a deterministic printer, a
+    recursive-descent parser and result-returning field readers.
 
-    The serve protocol ([Mhls_serve.Protocol]) needs to {e read} JSON,
-    not just write it — every other producer in the tree ({!Diag},
-    [Trace], [Dse_json]) only prints.  This module is the shared
-    two-way codec: object fields keep their insertion order, printing
-    is deterministic (no hash-order leaks), floats round-trip via
-    {!Float_lit}-style shortest forms, and parse failures are [Error]
-    strings with a byte offset, never exceptions. *)
+    This is the tree's one JSON layer: every producer ({!Diag}, the
+    parsafe verdict, the pass trace, the DSE frontier, the serve
+    protocol, the bench files) builds a {!t} and prints it here, and
+    every validator decodes a parsed {!t} rather than searching text.
+    Object fields keep their insertion order, printing is deterministic
+    (no hash-order leaks), floats round-trip via shortest forms, and
+    parse failures are [Error] strings with a byte offset, never
+    exceptions. *)
 
 type t =
   | Null
@@ -86,6 +87,11 @@ let to_string (v : t) : string =
 
 exception Parse_error of int * string
 
+(** Deepest array/object nesting {!parse} accepts.  The parser
+    recurses once per level, so an unbounded depth would let one
+    hostile document stall (or overflow) the caller. *)
+let max_depth = 512
+
 let parse (src : string) : (t, string) result =
   let n = String.length src in
   let pos = ref 0 in
@@ -116,10 +122,28 @@ let parse (src : string) : (t, string) result =
   let parse_hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
     let h = String.sub src !pos 4 in
+    let is_hex = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    if not (String.for_all is_hex h) then fail "bad \\u escape";
     pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some c -> c
-    | None -> fail "bad \\u escape"
+    int_of_string ("0x" ^ h)
+  in
+  (* a \u escape is one UTF-16 code unit: a high surrogate must be
+     followed by an escaped low one, and the pair names one scalar *)
+  let parse_code_point () =
+    let hi = parse_hex4 () in
+    if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate"
+    else if hi >= 0xD800 && hi <= 0xDBFF then begin
+      if not (!pos + 2 <= n && src.[!pos] = '\\' && src.[!pos + 1] = 'u')
+      then fail "lone high surrogate";
+      pos := !pos + 2;
+      let lo = parse_hex4 () in
+      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate";
+      0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+    end
+    else hi
   in
   let utf8_add buf code =
     (* encode a Unicode scalar value as UTF-8 *)
@@ -128,8 +152,14 @@ let parse (src : string) : (t, string) result =
       Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
-    else begin
+    else if code < 0x10000 then begin
       Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    end
+    else begin
+      Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
       Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
@@ -157,7 +187,7 @@ let parse (src : string) : (t, string) result =
           | 'b' -> Buffer.add_char buf '\b'; go ()
           | 'f' -> Buffer.add_char buf '\012'; go ()
           | 'u' ->
-              utf8_add buf (parse_hex4 ());
+              utf8_add buf (parse_code_point ());
               go ()
           | _ -> fail "bad escape")
       | c -> Buffer.add_char buf c; go ()
@@ -181,7 +211,13 @@ let parse (src : string) : (t, string) result =
         | Some f -> Float f
         | None -> fail (Printf.sprintf "bad number '%s'" text))
   in
-  let rec parse_value () =
+  (* step past the '[' or '{' that opens a level below [depth] *)
+  let nested depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting depth exceeds %d" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -190,7 +226,7 @@ let parse (src : string) : (t, string) result =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> Str (parse_string ())
     | Some '[' ->
-        advance ();
+        nested depth;
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -198,7 +234,7 @@ let parse (src : string) : (t, string) result =
         end
         else
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -211,7 +247,7 @@ let parse (src : string) : (t, string) result =
           in
           items []
     | Some '{' ->
-        advance ();
+        nested depth;
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -223,7 +259,7 @@ let parse (src : string) : (t, string) result =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let rec fields acc =
@@ -243,7 +279,7 @@ let parse (src : string) : (t, string) result =
     | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v
@@ -276,3 +312,45 @@ let int_member k v = Option.bind (member k v) to_int
 let float_member k v = Option.bind (member k v) to_float
 let bool_member k v = Option.bind (member k v) to_bool
 let list_member k v = Option.bind (member k v) to_list
+
+(* ------------------------------------------------------------------ *)
+(* Building and decoding                                              *)
+(* ------------------------------------------------------------------ *)
+
+let option f = function None -> Null | Some x -> f x
+
+let opt_field what conv k v =
+  match member k v with
+  | None | Some Null -> Ok None
+  | Some x -> (
+      match conv x with
+      | Some y -> Ok (Some y)
+      | None -> Error (Printf.sprintf "field '%s' must be %s" k what))
+
+let field what conv k v =
+  match opt_field what conv k v with
+  | Ok (Some y) -> Ok y
+  | Ok None -> Error (Printf.sprintf "missing field '%s'" k)
+  | Error e -> Error e
+
+let get_str = field "a string" to_str
+let get_int = field "an integer" to_int
+let get_float = field "a number" to_float
+let get_bool = field "a boolean" to_bool
+let get_list = field "a list" to_list
+let get_opt_str = opt_field "a string" to_str
+
+let only_keys known = function
+  | Obj fields -> (
+      match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
+      | None -> Ok ()
+      | Some (k, _) -> Error (Printf.sprintf "unknown key '%s'" k))
+  | _ -> Error "expected an object"
+
+let decode_list f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+        match f x with Ok y -> go (y :: acc) rest | Error e -> Error e)
+  in
+  go [] xs

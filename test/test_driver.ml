@@ -256,6 +256,35 @@ let test_trace_schema_rejects_malformed () =
          in
          contains ~needle:"cached" e)
 
+let test_trace_validate_rejects_near_misses () =
+  let records = D.trace_records (D.run_batch (small_jobs ())) in
+  let json = Tr.to_json ~tool:D.tool_version records in
+  let reject name s =
+    match Tr.validate s with
+    | Ok () -> Alcotest.failf "%s accepted" name
+    | Error _ -> ()
+  in
+  reject "version 12"
+    (Str_find.replace_first json "\"version\": 1," "\"version\": 12,");
+  (* to_json ends with "]}\n" *)
+  reject "truncated before the closing ]}" (Str_find.drop_last 3 json);
+  reject "record with a string seconds"
+    (Str_find.set_first_value json "seconds" "\"x\"");
+  reject "record with float words"
+    (Str_find.set_first_value json "minor_words" "1.5");
+  reject "record with an extra key"
+    (Str_find.replace_first json "\"cached\": " "\"extra\": 1, \"cached\": ")
+
+let test_trace_roundtrip () =
+  let records = D.trace_records (D.run_batch (small_jobs ())) in
+  let decoded =
+    Result.bind
+      (Support.Json.parse (Tr.to_json ~tool:D.tool_version records))
+      Tr.of_json
+  in
+  Alcotest.(check bool) "of_json (parse (to_json rs)) = Ok rs" true
+    (decoded = Ok records)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel determinism                                               *)
 (* ------------------------------------------------------------------ *)
@@ -504,6 +533,9 @@ let suite =
       test_cache_invalidation_on_pipeline_change;
     Alcotest.test_case "cache key separator" `Quick test_cache_key_separator;
     Alcotest.test_case "trace schema golden" `Quick test_trace_schema_golden;
+    Alcotest.test_case "trace validate rejects near misses" `Quick
+      test_trace_validate_rejects_near_misses;
+    Alcotest.test_case "trace JSON round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace schema rejects malformed" `Quick
       test_trace_schema_rejects_malformed;
     Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order;

@@ -379,6 +379,24 @@ let test_dse_json_rejects_garbage () =
   reject "version but no frontier"
     (Printf.sprintf "{\n  \"version\": %d\n}" J.schema_version)
 
+let test_dse_json_rejects_near_misses () =
+  let o = S.search ~cache_dir ~jobs:2 (K.gemm ()) in
+  let s = J.to_json ~tool:D.tool_version o in
+  let reject name s =
+    match J.validate s with
+    | Ok () -> Alcotest.fail (name ^ " accepted")
+    | Error _ -> ()
+  in
+  reject "version 12"
+    (Str_find.replace_first s "\"version\": 1," "\"version\": 12,");
+  (* to_json ends with "]}\n" *)
+  reject "truncated before the closing ]}" (Str_find.drop_last 3 s);
+  reject "string latency" (Str_find.set_first_value s "latency" "\"x\"");
+  reject "partition with a string factor"
+    (Str_find.set_first_value s "factor" "\"x\"");
+  reject "unknown header key"
+    (Str_find.replace_first s "\"kernel\": " "\"extra\": 1, \"kernel\": ")
+
 let render_tests =
   [
     QCheck_alcotest.to_alcotest prop_dominates_irreflexive;
@@ -419,6 +437,8 @@ let suite =
       Alcotest.test_case "search: best point cosims" `Quick
         test_best_point_cosims;
       Alcotest.test_case "dse.json roundtrip" `Quick test_dse_json_roundtrip;
+      Alcotest.test_case "dse.json rejects near misses" `Quick
+        test_dse_json_rejects_near_misses;
       Alcotest.test_case "dse.json rejects garbage" `Quick
         test_dse_json_rejects_garbage;
     ]

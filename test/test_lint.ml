@@ -48,6 +48,41 @@ let test_json_golden () =
   Alcotest.(check string) "stable JSON rendering" golden_json
     (Diag.to_json ds)
 
+let test_diag_json_roundtrip () =
+  let nasty =
+    [
+      "quote \" and backslash \\";
+      "newline\n tab\t return\r";
+      "controls \000\001\027\031 and del \127";
+      "non-ASCII: caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80";
+      "";
+    ]
+  in
+  List.iter
+    (fun text ->
+      List.iter
+        (fun d ->
+          Alcotest.(check bool) "of_json (json d) = Ok d" true
+            (Diag.of_json (Diag.json d) = Ok d);
+          Alcotest.(check bool) "survives printing and parsing" true
+            (Result.bind
+               (Support.Json.parse (Support.Json.to_string (Diag.json d)))
+               Diag.of_json
+            = Ok d))
+        [
+          Diag.error ~rule:"HLS001" "%s" text;
+          Diag.warning ~func:text ~location:text ~hint:text ~rule:text "%s"
+            text;
+          Diag.note ~location:text ~rule:"HLS002" "m";
+        ])
+    nasty;
+  Alcotest.(check bool) "unknown severity rejected" true
+    (Result.is_error
+       (Result.bind
+          (Support.Json.parse
+             {|{"rule": "X", "severity": "fatal", "message": "m"}|})
+          Diag.of_json))
+
 (* --- -Werror and rule filtering ----------------------------------- *)
 
 let test_werror () =
@@ -291,13 +326,16 @@ let test_diag_engine () =
   (* JSON escaping *)
   let tricky = Diag.warning ~rule:"X" "quote \" and\nnewline" in
   Alcotest.(check bool) "escaped" true
-    (Str_find.contains (Diag.diag_to_json tricky) "quote \\\" and\\nnewline")
+    (Str_find.contains
+       (Support.Json.to_string (Diag.json tricky))
+       "quote \\\" and\\nnewline")
 
 let suite =
   [
     Alcotest.test_case "gemm II 1 infeasible" `Quick test_gemm_ii1_infeasible;
     Alcotest.test_case "gemm II 4 clean" `Quick test_gemm_ii4_clean;
     Alcotest.test_case "json golden" `Quick test_json_golden;
+    Alcotest.test_case "diag JSON round-trip" `Quick test_diag_json_roundtrip;
     Alcotest.test_case "werror" `Quick test_werror;
     Alcotest.test_case "rule filter" `Quick test_rule_filter;
     Alcotest.test_case "partition conflict" `Quick test_partition_conflict;

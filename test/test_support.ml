@@ -69,6 +69,52 @@ let test_err_guard () =
   | exception Support.Err.Compile_error e ->
       Alcotest.(check string) "pass recorded" "g" e.Support.Err.pass
 
+(* --- Json ------------------------------------------------------- *)
+
+module Json = Support.Json
+
+let is_error = function Ok _ -> false | Error _ -> true
+
+let test_json_depth_cap () =
+  (match Json.parse (String.make 1_000_000 '[') with
+  | Ok _ -> Alcotest.fail "1M nested arrays accepted"
+  | Error e ->
+      Alcotest.(check bool) "error names the depth" true
+        (Str_find.contains e "depth"));
+  let nest d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "max_depth levels parse" false
+    (is_error (Json.parse (nest Json.max_depth)));
+  Alcotest.(check bool) "one more is refused" true
+    (is_error (Json.parse (nest (Json.max_depth + 1))));
+  Alcotest.(check bool) "objects count too" true
+    (is_error
+       (Json.parse
+          (String.concat ""
+             (List.init (Json.max_depth + 1) (fun _ -> "{\"a\": "))
+          ^ "1"
+          ^ String.make (Json.max_depth + 1) '}')))
+
+let test_json_surrogates () =
+  Alcotest.(check bool) "pair decodes to 4-byte UTF-8" true
+    (Json.parse {|"\ud83d\ude00"|} = Ok (Json.Str "\xF0\x9F\x98\x80"));
+  Alcotest.(check bool) "BMP escape stays 3 bytes" true
+    (Json.parse {|"\u20ac"|} = Ok (Json.Str "\xE2\x82\xAC"));
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check bool) name true (is_error (Json.parse src)))
+    [
+      ("lone high surrogate", {|"\ud83d"|});
+      ("high surrogate then text", {|"\ud83dx"|});
+      ("high surrogate then BMP escape", {|"\ud83d\u0041"|});
+      ("lone low surrogate", {|"\ude00"|});
+      ("non-hex digits", {|"\u+123"|});
+    ]
+
+let prop_json_string_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json: any byte string round-trips"
+    QCheck.string (fun s ->
+      Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s))
+
 let suite =
   [
     Alcotest.test_case "namegen basic" `Quick test_namegen_basic;
@@ -80,4 +126,7 @@ let suite =
     Alcotest.test_case "table missing cells" `Quick test_table_missing_cells;
     Alcotest.test_case "err fail raises" `Quick test_err_fail_raises;
     Alcotest.test_case "err guard" `Quick test_err_guard;
+    Alcotest.test_case "json depth cap" `Quick test_json_depth_cap;
+    Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogates;
+    QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
   ]
