@@ -115,7 +115,7 @@ type outcome = {
 type batch_report = {
   outcomes : outcome list;  (** in job-list order *)
   wall_seconds : float;
-  jobs_used : int;  (** worker count *)
+  jobs_used : int;  (** domains that computed the batch, caller included *)
   cache_hits : int;
   cache_misses : int;  (** both 0 when caching is disabled *)
 }
@@ -346,9 +346,10 @@ type session = {
 (** [create_session ()] spins up the worker pool (and opens the cache
     directory, if any) once; every subsequent {!submit} reuses both.
     Close with {!close_session} — or lexically via {!with_session}.
+    A {!submit}ted batch runs on the caller plus [jobs - 1] workers.
     [~oversubscribe:true] passes through to {!Pool.create}: the serve
-    daemon wants [jobs] worker domains even on fewer cores, so a
-    short request can overtake a long one. *)
+    daemon wants [jobs] dedicated worker domains even on fewer cores,
+    so a short request can overtake a long one. *)
 let create_session ?(pipeline = Adaptor.Pipeline.default) ?cache_dir
     ?(jobs = 1) ?(oversubscribe = false) () : session =
   {
@@ -401,9 +402,9 @@ let submit ?pipeline (s : session) (js : job list) :
     session or an inline pool, in which case the caller should run the
     thunk itself.  This is the serve reactor's executor: request
     groups evaluate here while the select loop keeps reading.  A
-    submitted task may itself call {!submit} with a {e single-job}
-    batch (it runs inline on the worker), which is exactly what the
-    compile handler does. *)
+    submitted task may itself call {!submit} on this session — the
+    compile handler does, with a single-job batch that runs inline;
+    a larger batch runs on the task's domain plus any free worker. *)
 let background (s : session) (task : unit -> unit) : bool =
   (not s.s_closed) && Pool.submit s.s_pool task
 
@@ -437,14 +438,16 @@ let with_session ?pipeline ?cache_dir ?jobs (f : session -> 'a) : 'a =
   let s = create_session ?pipeline ?cache_dir ?jobs () in
   Fun.protect ~finally:(fun () -> close_session s) (fun () -> f s)
 
-(** Run a batch: up to [jobs] domains, optional result cache.  Job
-    order is preserved in [outcomes] regardless of worker count.
+(** Run a batch: the calling domain plus up to [jobs - 1] workers,
+    optional result cache.  Job order is preserved in [outcomes]
+    regardless of worker count.
 
-    [jobs] is an upper bound: the pool never oversubscribes the
-    hardware (OCaml 5 minor collections are stop-the-world across
-    domains, so excess domains make an allocation-heavy workload
-    {e slower}).  Results are deterministic for any worker count.
-    One-shot wrapper over a {!session}. *)
+    [jobs] is an upper bound on the domains that compute, clamped to
+    the hardware.  The caller is one of them rather than a blocked
+    bystander: OCaml 5 minor collections are stop-the-world across
+    domains, and an idle extra domain would still have to join each
+    one.  Results are deterministic for any worker count.  One-shot
+    wrapper over a {!session}. *)
 let run_batch ?pipeline ?cache_dir ?(jobs = 1) (js : job list) : batch_report
     =
   let jobs = max 1 (min jobs (max 1 (List.length js))) in

@@ -76,7 +76,7 @@ type outcome = {
 type batch_report = {
   outcomes : outcome list;  (** in job-list order *)
   wall_seconds : float;
-  jobs_used : int;  (** worker count *)
+  jobs_used : int;  (** domains that computed the batch, caller included *)
   cache_hits : int;
   cache_misses : int;  (** both 0 when caching is disabled *)
 }
@@ -100,9 +100,10 @@ type session
 
 (** Spin up the worker pool (and open the cache directory, if any)
     once; every subsequent {!submit} reuses both.
-    [~oversubscribe:true] lifts the pool's hardware clamp (see
-    {!Pool.create}) — the serve daemon's concurrency-for-latency
-    trade. *)
+    A batch runs on the caller plus [jobs - 1] workers;
+    [~oversubscribe:true] gives the pool [jobs] dedicated workers
+    instead, not clamped to the hardware (see {!Pool.create}) — the
+    serve daemon's concurrency-for-latency trade. *)
 val create_session :
   ?pipeline:Adaptor.Pipeline.t ->
   ?cache_dir:string ->
@@ -140,9 +141,8 @@ val submit_exn : ?pipeline:Adaptor.Pipeline.t -> session -> job list -> outcome 
 (** [background s task] hands [task] to a session worker domain
     without blocking; [false] (nothing enqueued) on a closed session
     or an inline pool — run the thunk yourself.  The serve reactor's
-    executor: a submitted task may call {!submit} with a single-job
-    batch (it runs inline on the worker), but must not submit
-    multi-job batches into this same session. *)
+    executor: a submitted task may call {!submit} into this same
+    session; the task's domain then works on that batch itself. *)
 val background : session -> (unit -> unit) -> bool
 
 val session_pipeline : session -> Adaptor.Pipeline.t
@@ -162,8 +162,9 @@ val with_session :
   (session -> 'a) ->
   'a
 
-(** One-shot wrapper over a session: run a batch on up to [jobs]
-    domains with an optional result cache. *)
+(** One-shot wrapper over a session: run a batch on the calling
+    domain plus up to [jobs - 1] workers, with an optional result
+    cache. *)
 val run_batch :
   ?pipeline:Adaptor.Pipeline.t ->
   ?cache_dir:string ->

@@ -1,90 +1,33 @@
 (** Worker pool over OCaml 5 domains.
 
-    Two entry points share the machinery:
+    {!create} starts a pool, {!run} evaluates a batch on it and blocks
+    until the batch is done, {!submit} hands a thunk to a worker without
+    blocking, and {!shutdown} stops the pool.  {!map} is the three in
+    one call.  Workers block on a condition variable between batches,
+    so a search loop that submits a small batch per round pays no
+    domain spawn per round, and a shut-down pool's domains park for the
+    next pool to reuse.
 
-    - {!map} — the one-shot path: spawn up to [jobs] domains, apply a
-      function to every element, join.  Work items are claimed from a
-      shared atomic counter, so the pool load-balances automatically.
-    - {!create}/{!run}/{!shutdown} — the {e live}-pool path used by the
-      incremental driver session: workers are spawned once, block on a
-      condition variable between batches, and successive {!run} calls
-      reuse them.  A search loop that submits a small batch per round
-      does not pay a domain-spawn per round, and a shut-down pool's
-      domains park for the next pool to reuse.
+    A batch runs on the caller plus [jobs - 1] workers: the domain that
+    calls {!run} claims elements of its own batch alongside the
+    workers, so a [jobs = 2] batch occupies exactly two domains.  A
+    blocked third domain would still have to join every minor
+    collection — each one a stop-the-world section across all domains —
+    and be interrupted for it.  The serve daemon's pool
+    ([~oversubscribe:true]) keeps [jobs] dedicated workers, since its
+    reactor domain never computes.
 
-    Both paths preserve input order in the result and run inline on the
-    calling domain when [jobs <= 1] — the sequential reference used by
-    the determinism tests. *)
-
-(* ------------------------------------------------------------------ *)
-(* One-shot map                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** [map ~jobs f xs] applies [f] to every element of [xs], on up to
-    [jobs] domains, preserving input order in the result.  [f] should
-    not raise: an exception in a worker tears down the whole pool (it
-    is re-raised by [Domain.join]).  Like {!create}, the worker count
-    is clamped to the hardware: on a single-core machine the map runs
-    inline, since extra domains only add stop-the-world GC
-    coordination. *)
-let map ~(jobs : int) (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  let n = List.length xs in
-  let jobs = min jobs (Domain.recommended_domain_count ()) in
-  if jobs <= 1 || n <= 1 then List.map f xs
-  else begin
-    let input = Array.of_list xs in
-    let output = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      (* Allocation-heavy work items make the default (256k-word)
-         minor heap the bottleneck: every domain's minor collection is
-         a stop-the-world sync, so at 4+ domains the pool spends its
-         speedup waiting on barriers.  A larger per-domain minor heap
-         trades a few MB per worker for an ~4x lower barrier rate;
-         workers are short-lived, the setting dies with the domain. *)
-      Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1024 * 1024 };
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          output.(i) <- Some (f input.(i));
-          go ()
-        end
-      in
-      go ()
-    in
-    let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join domains;
-    Array.to_list
-      (Array.map (function Some v -> v | None -> assert false) output)
-  end
-
-(** A reasonable default worker count for this machine. *)
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
-
-(** Fanout record handed to {!Llvmir.Pass.run_pipeline_parallel}: the
-    pool's {!map} plus a wall clock.  Lives here because [llvmir] sits
-    below both this pool and [unix] in the layering. *)
-let fanout ~(jobs : int) : Llvmir.Pass.fanout =
-  { Llvmir.Pass.jobs; now = Unix.gettimeofday; map = (fun f xs -> map ~jobs f xs) }
-
-(* ------------------------------------------------------------------ *)
-(* Live pool                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** A queued unit of work.  [t_batch] tasks belong to a blocking
-    {!run} batch and participate in its [pending] accounting;
-    {!submit}ted tasks do not — a worker must never signal
-    [batch_done] for them, or a concurrent {!run} would return with
-    slots still unfilled. *)
-type task = { t_run : unit -> unit; t_batch : bool }
+    Results preserve input order and do not depend on the worker
+    count; with [jobs <= 1] everything runs inline on the calling
+    domain — the sequential reference used by the determinism tests. *)
 
 type t = {
-  jobs : int;  (** worker-domain count; 0 = inline sequential pool *)
+  size : int;  (** domains that compute a batch; see {!size} *)
+  workers : int;  (** dedicated worker domains; 0 = inline pool *)
   mutex : Mutex.t;
   work_available : Condition.t;
   batch_done : Condition.t;
-  queue : task Queue.t;
-  mutable pending : int;  (** batch tasks queued or running *)
+  queue : (unit -> unit) Queue.t;
   mutable stopping : bool;
   mutable attached : int;  (** workers assigned and not yet gone *)
   workers_gone : Condition.t;
@@ -102,18 +45,12 @@ let worker (p : t) =
     else begin
       let task = Queue.pop p.queue in
       Mutex.unlock p.mutex;
-      (match task.t_run () with
+      (match task () with
       | () -> ()
       | exception e ->
           Mutex.lock p.mutex;
           if p.failure = None then p.failure <- Some e;
           Mutex.unlock p.mutex);
-      if task.t_batch then begin
-        Mutex.lock p.mutex;
-        p.pending <- p.pending - 1;
-        if p.pending = 0 then Condition.broadcast p.batch_done;
-        Mutex.unlock p.mutex
-      end;
       loop ()
     end
   in
@@ -170,40 +107,45 @@ let rec park () =
     park ()
   end
 
-(** [create ~jobs] starts a pool of [min jobs recommended]
-    workers (at least 0: with [jobs <= 1] no domain is used and {!run}
-    executes inline), taking parked domains first and spawning the
-    rest.  By default the pool never oversubscribes the hardware —
-    OCaml 5 minor collections are stop-the-world across domains, so
-    excess domains make allocation-heavy workloads {e slower}.
-    [~oversubscribe:true] lifts that clamp (still bounded by
-    [max 16 recommended]): the serve reactor wants
-    concurrency-for-latency — a short compile overtaking a long DSE
-    sweep — which the OS scheduler provides by timeslicing domains
-    even on a single core. *)
+(** [create ~jobs] starts a pool whose batches run on
+    [min jobs recommended] domains: the caller of {!run} plus
+    [jobs - 1] workers, taken from parked domains first and spawned for
+    the rest.  With [jobs <= 1], or on a single-core host, no worker is
+    used and {!run} executes inline.  The clamp to the hardware keeps
+    domains from outnumbering cores: OCaml 5 minor collections are
+    stop-the-world across domains, so excess domains make an
+    allocation-heavy workload {e slower}.
+
+    [~oversubscribe:true] is for a caller that never computes — the
+    serve reactor: the pool gets [jobs] dedicated workers (bounded by
+    [max 16 recommended]), which the OS timeslices even on one core,
+    so a short compile can overtake a long DSE sweep. *)
 let create ?(oversubscribe = false) ~(jobs : int) () : t =
-  let jobs =
-    if jobs <= 1 then 0
+  let size, workers =
+    if jobs <= 1 then (1, 0)
     else if oversubscribe then
-      min jobs (max 16 (Domain.recommended_domain_count ()))
-    else min jobs (max 1 (Domain.recommended_domain_count ()))
+      let w = min jobs (max 16 (Domain.recommended_domain_count ())) in
+      (w, w)
+    else
+      let d = min jobs (max 1 (Domain.recommended_domain_count ())) in
+      (d, d - 1)
   in
   let p =
     {
-      jobs;
+      size;
+      workers;
       mutex = Mutex.create ();
       work_available = Condition.create ();
       batch_done = Condition.create ();
       queue = Queue.create ();
-      pending = 0;
       stopping = false;
-      attached = jobs;
+      attached = workers;
       workers_gone = Condition.create ();
       failure = None;
     }
   in
   Mutex.lock park_mutex;
-  for _ = 1 to jobs do
+  for _ = 1 to workers do
     Queue.push p assignments
   done;
   let spawn = max 0 (Queue.length assignments - !available) in
@@ -219,35 +161,53 @@ let create ?(oversubscribe = false) ~(jobs : int) () : t =
   done;
   p
 
-(** Number of worker domains actually running (1 when inline). *)
-let size (p : t) : int = max 1 p.jobs
+(** Domains that compute a batch: the caller plus the workers (1 when
+    inline); for an oversubscribed pool, its dedicated workers. *)
+let size (p : t) : int = p.size
 
-(** [run p f xs] evaluates [f] on every element of [xs] on the pool's
-    workers and blocks until the whole batch is done, preserving input
-    order.  Results are independent of the worker count.  A task that
-    raises poisons only its own slot: the exception is re-raised here
-    after the batch drains, so the pool stays usable. *)
+(** [run p f xs] evaluates [f] on every element of [xs] and blocks
+    until the whole batch is done, preserving input order.  The caller
+    works on the batch itself: it and up to [jobs - 1] queued tokens
+    claim elements from one atomic counter, so a token never runs
+    another batch's elements or a {!submit}ted task, and a batch issued
+    from a worker completes even when every other worker is busy.
+    Results are independent of the worker count.  A task that raises
+    poisons only its own slot: the exception is re-raised here after
+    the batch drains, so the pool stays usable. *)
 let run (p : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let n = List.length xs in
-  if p.jobs = 0 || n <= 1 then List.map f xs
+  if p.workers = 0 || n <= 1 then List.map f xs
   else begin
     let input = Array.of_list xs in
     let output : ('b, exn) result option array = Array.make n None in
-    let task i () =
-      output.(i) <-
-        Some (match f input.(i) with v -> Ok v | exception e -> Error e)
+    let next = Atomic.make 0 in
+    let unfinished = Atomic.make n in
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        output.(i) <-
+          Some (match f input.(i) with v -> Ok v | exception e -> Error e);
+        if Atomic.fetch_and_add unfinished (-1) = 1 then begin
+          Mutex.lock p.mutex;
+          Condition.broadcast p.batch_done;
+          Mutex.unlock p.mutex
+        end;
+        claim ()
+      end
     in
     Mutex.lock p.mutex;
     if p.stopping then begin
       Mutex.unlock p.mutex;
       invalid_arg "Pool.run: pool is shut down"
     end;
-    for i = 0 to n - 1 do
-      Queue.push { t_run = task i; t_batch = true } p.queue
+    for _ = 1 to min p.workers (n - 1) do
+      Queue.push claim p.queue;
+      Condition.signal p.work_available
     done;
-    p.pending <- p.pending + n;
-    Condition.broadcast p.work_available;
-    while p.pending > 0 do
+    Mutex.unlock p.mutex;
+    claim ();
+    Mutex.lock p.mutex;
+    while Atomic.get unfinished > 0 do
       Condition.wait p.batch_done p.mutex
     done;
     Mutex.unlock p.mutex;
@@ -263,18 +223,16 @@ let run (p : t) (f : 'a -> 'b) (xs : 'a list) : 'b list =
 (** [submit p task] enqueues [task] for a worker domain without
     blocking; it runs whenever a worker frees up and its completion is
     never waited on here.  Returns [false] — and does {e not} enqueue —
-    on an inline pool ([jobs <= 1]) or a stopped pool, so the caller
-    knows to run the thunk itself.  [task] must not call {!run} with a
-    multi-element batch on this same pool: with every worker busy
-    executing submitted tasks, the nested batch would deadlock.
-    (Single-element batches are safe — {!run} executes those inline.) *)
+    on an inline pool or a stopped pool, so the caller knows to run the
+    thunk itself.  [task] may call {!run} on this same pool: the task's
+    domain then works on that batch itself. *)
 let submit (p : t) (task : unit -> unit) : bool =
-  if p.jobs = 0 then false
+  if p.workers = 0 then false
   else begin
     Mutex.lock p.mutex;
     let accepted = not p.stopping in
     if accepted then begin
-      Queue.push { t_run = task; t_batch = false } p.queue;
+      Queue.push task p.queue;
       Condition.signal p.work_available
     end;
     Mutex.unlock p.mutex;
@@ -295,3 +253,21 @@ let shutdown (p : t) : unit =
   p.failure <- None;
   Mutex.unlock p.mutex;
   Option.iter raise failure
+
+(** [map ~jobs f xs] is {!run} on a pool of [jobs] that lives for this
+    one call: [f] runs on the caller plus up to [jobs - 1] parked
+    workers, and the result keeps input order.  If [f] raises, the
+    exception of the first failing element is re-raised once every
+    element has run. *)
+let map ~(jobs : int) (f : 'a -> 'b) (xs : 'a list) : 'b list =
+  let p = create ~jobs () in
+  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> run p f xs)
+
+(** A reasonable default worker count for this machine. *)
+let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+
+(** Fanout record handed to {!Llvmir.Pass.run_pipeline_parallel}: the
+    pool's {!map} plus a wall clock.  Lives here because [llvmir] sits
+    below both this pool and [unix] in the layering. *)
+let fanout ~(jobs : int) : Llvmir.Pass.fanout =
+  { Llvmir.Pass.jobs; now = Unix.gettimeofday; map = (fun f xs -> map ~jobs f xs) }

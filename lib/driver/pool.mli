@@ -1,9 +1,12 @@
-(** Worker pool over OCaml 5 domains: a one-shot {!map} and a live
-    {!create}/{!run}/{!shutdown} pool reused across batches.  Both
+(** Worker pool over OCaml 5 domains, reused across batches.  A batch
+    runs on the caller plus [jobs - 1] workers; the serve daemon's pool
+    ([~oversubscribe:true]) keeps [jobs] dedicated workers.  Results
     preserve input order and run inline when [jobs <= 1]. *)
 
-(** [map ~jobs f xs] applies [f] on up to [jobs] domains, preserving
-    input order.  [f] should not raise. *)
+(** [map ~jobs f xs] is {!create} + {!run} + {!shutdown}: [f] runs on
+    the caller plus up to [jobs - 1] workers, input order preserved.
+    The first failing element's exception is re-raised after every
+    element has run. *)
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** A reasonable default worker count for this machine. *)
@@ -14,32 +17,35 @@ val default_jobs : unit -> int
     worker-side timings. *)
 val fanout : jobs:int -> Llvmir.Pass.fanout
 
-(** A live pool: workers are spawned once and reused by every {!run}. *)
+(** A live pool: workers are taken once and reused by every {!run}. *)
 type t
 
-(** [create ~jobs ()] starts the workers ([jobs <= 1] means inline,
-    no domains), reusing domains parked by an earlier {!shutdown} and
-    spawning the rest; the count is clamped to the hardware unless
-    [~oversubscribe:true], which trades GC-coordination throughput for
-    concurrency-for-latency (the serve reactor's trade: a short job
-    must be able to overtake a long one even on few cores). *)
+(** [create ~jobs ()] makes a pool whose batches run on the caller of
+    {!run} plus [jobs - 1] workers, clamped to the hardware
+    ([jobs <= 1] or one core means inline, no worker), reusing domains
+    parked by an earlier {!shutdown} and spawning the rest.
+    [~oversubscribe:true] is for a caller that never computes (the
+    serve reactor): [jobs] dedicated workers, not clamped to the
+    hardware, so a short job can overtake a long one even on few
+    cores. *)
 val create : ?oversubscribe:bool -> jobs:int -> unit -> t
 
-(** Number of worker domains actually running (1 when inline). *)
+(** Domains that compute a batch: the caller plus the workers (1 when
+    inline); for an oversubscribed pool, its dedicated workers. *)
 val size : t -> int
 
-(** [run p f xs] evaluates the batch on the pool, blocking until done;
-    input order preserved, results independent of worker count.  A
-    task's exception is re-raised here after the batch drains.
+(** [run p f xs] evaluates the batch, blocking until done; the calling
+    domain claims elements of this batch alongside the workers, and
+    never a {!submit}ted task.  Input order preserved, results
+    independent of worker count.  A task's exception is re-raised here
+    after the batch drains.
     @raise Invalid_argument after {!shutdown}. *)
 val run : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [submit p task] enqueues [task] on a worker without blocking and
-    without joining any batch accounting; [false] (nothing enqueued)
-    on an inline or stopped pool — run the thunk yourself.  [task]
-    must not call {!run} with a multi-element batch on the same
-    pool (deadlock when all workers are busy); single-element
-    batches run inline and are safe. *)
+(** [submit p task] enqueues [task] on a worker without blocking;
+    [false] (nothing enqueued) on an inline or stopped pool — run the
+    thunk yourself.  [task] may call {!run} on the same pool: its
+    domain then works on that batch itself. *)
 val submit : t -> (unit -> unit) -> bool
 
 (** Stop the workers and wait until each has left the pool.  A worker

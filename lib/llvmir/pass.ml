@@ -242,9 +242,9 @@ let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
             in
             let traced = trace != Support.Tracing.null in
             let g0 = if traced then Some (Gc.quick_stat ()) else None in
-            let t0 = Sys.time () in
+            let t0 = fanout.now () in
             let results = fanout.map worker m1.Lmodule.funcs in
-            let wall = Sys.time () -. t0 in
+            let wall = fanout.now () -. t0 in
             let funcs = List.map fst results in
             let m2 = { m1 with Lmodule.funcs = funcs } in
             (* per-pass worker clock aggregated across functions *)
@@ -265,8 +265,9 @@ let run_pipeline_parallel ?(verify = true) ?(trace = Support.Tracing.null)
                   })
                 tail
             in
-            (* coordinator-domain allocation only; worker-domain words
-               are invisible to this domain's [Gc.quick_stat] *)
+            (* the calling domain's allocation only — its share of the
+               functions plus coordination; other domains' words are
+               invisible to this domain's [Gc.quick_stat] *)
             if traced then begin
               let g1 = Gc.quick_stat () in
               let g0 = Option.get g0 in

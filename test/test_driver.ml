@@ -323,6 +323,76 @@ let test_pool_reuses_domains () =
     | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m
   else Pool.shutdown c
 
+(* Spins until [cond ()] holds or [seconds] pass; [true] if it held.
+   The pool tests below wait on each other's domains this way, so a
+   broken pool fails them instead of hanging the suite. *)
+let wait_until ?(seconds = 10.) cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Domain.cpu_relax (); go ()))
+  in
+  go ()
+
+let test_pool_caller_computes () =
+  (* a 2-job pool runs its batch on the caller plus one worker: every
+     task waits until two distinct domains have taken tasks, so the
+     batch cannot finish on whichever domain happens to be first *)
+  let want = min 2 (Domain.recommended_domain_count ()) in
+  let seen = Atomic.make [] in
+  let rec note d =
+    let l = Atomic.get seen in
+    if not (List.mem d l || Atomic.compare_and_set seen l (d :: l)) then note d
+  in
+  let p = Pool.create ~jobs:2 () in
+  let ids =
+    Pool.run p
+      (fun _ ->
+        let d = (Domain.self () :> int) in
+        note d;
+        ignore (wait_until (fun () -> List.length (Atomic.get seen) >= want));
+        d)
+      (List.init 64 Fun.id)
+  in
+  Pool.shutdown p;
+  let distinct = List.sort_uniq compare ids in
+  Alcotest.(check int) "distinct domains" want (List.length distinct);
+  Alcotest.(check bool) "the caller is one of them" true
+    (List.mem (Domain.self () :> int) distinct)
+
+let test_pool_oversubscribed_workers () =
+  (* the serve daemon's pool keeps [jobs] dedicated workers: two
+     submitted tasks that each wait for the other both get to run *)
+  let p = Pool.create ~oversubscribe:true ~jobs:2 () in
+  let arrived = Atomic.make 0 and met = Atomic.make 0 in
+  let task () =
+    Atomic.incr arrived;
+    if wait_until (fun () -> Atomic.get arrived = 2) then Atomic.incr met
+  in
+  Alcotest.(check bool) "submitted" true (Pool.submit p task && Pool.submit p task);
+  Pool.shutdown p;
+  Alcotest.(check int) "both tasks ran at once" 2 (Atomic.get met)
+
+let test_pool_nested_batch () =
+  (* submitted tasks occupy every worker, then each runs a multi-element
+     batch on the same pool: the task's own domain works the batch, so
+     it completes without a free worker *)
+  let p = Pool.create ~oversubscribe:true ~jobs:2 () in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let sums = Array.make 2 0 in
+  let task k () =
+    Atomic.incr started;
+    ignore (wait_until (fun () -> Atomic.get started = 2));
+    sums.(k) <- List.fold_left ( + ) 0 (Pool.run p (fun x -> x * x) (List.init 8 Fun.id));
+    Atomic.incr finished
+  in
+  Alcotest.(check bool) "submitted" true (Pool.submit p (task 0) && Pool.submit p (task 1));
+  (* shut down only once the batches are known to have finished: a
+     deadlocked pool would never let [shutdown] return *)
+  let completed = wait_until (fun () -> Atomic.get finished = 2) in
+  Alcotest.(check bool) "nested batches completed" true completed;
+  Pool.shutdown p;
+  Alcotest.(check (array int)) "batch results" [| 140; 140 |] sums
+
 let test_batch_determinism () =
   (* run_batch clamps its worker count to the hardware, so drive the
      pool directly: 4 real domains vs the inline sequential path must
@@ -541,6 +611,11 @@ let suite =
     Alcotest.test_case "pool preserves order" `Quick test_pool_preserves_order;
     Alcotest.test_case "pool reuses parked domains" `Quick
       test_pool_reuses_domains;
+    Alcotest.test_case "pool caller computes" `Quick test_pool_caller_computes;
+    Alcotest.test_case "pool oversubscribed keeps jobs workers" `Quick
+      test_pool_oversubscribed_workers;
+    Alcotest.test_case "pool nested batch from submitted tasks" `Quick
+      test_pool_nested_batch;
     Alcotest.test_case "batch determinism" `Quick test_batch_determinism;
     Alcotest.test_case "batch report stats" `Quick test_batch_report_stats;
     Alcotest.test_case "front-end groups equal per-job runs" `Quick
